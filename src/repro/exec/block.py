@@ -18,8 +18,11 @@ interpreter (``Cpu._run_loop``).  The techniques used to keep it:
   block, step budget smaller than the block);
 * per-block rollback tables so a mid-block memory fault or div-by-zero
   rewinds the batched charges to exactly the interpreter's accounting;
-* terminators re-enter the interpreter's own handlers whenever a
-  pre-branch hook or branch profiler is installed;
+* a pre-branch hook (which may replace the branch) sends every branch
+  through the interpreter's own handler, on unfolded single-block
+  variants; a branch profiler alone is called from the folded traces
+  themselves, with the batched charges rewound to the interpreter's
+  values at the branch for the call;
 * compiled blocks are invalidated on any store into their words (SMC),
   and an epoch counter makes an in-flight closure bail right after the
   store that invalidated it.
@@ -98,9 +101,10 @@ _COND_FLAG_EXPR = {
 
 
 def _slow_terminator(cpu, regs, pc, instr, tc):
-    """Run a block terminator through the interpreter's own handler.
+    """Run a branch through the interpreter's own handler.
 
-    Used whenever a pre-branch hook or branch profiler is installed.
+    Used whenever a pre-branch hook is installed (the handler also
+    feeds any branch profiler), and for CALL under a branch profiler.
     The batched block charge already counted this instruction, but the
     interpreter calls the hook *before* charging — so rewind, hook,
     re-charge (with the replacement's cost, if the hook substituted an
@@ -117,6 +121,37 @@ def _slow_terminator(cpu, regs, pc, instr, tc):
         cpu.icount += 1
         cpu.cycles += instr.meta.cycles
     return DISPATCH[instr.op](cpu, instr, pc, regs)
+
+
+def _slow_mid_branch(cpu, regs, pc, instr, tc, icount_back,
+                     cycles_back):
+    """:func:`_slow_terminator` for a branch folded mid-trace: first
+    rewind the batched charges of the trace's un-executed suffix."""
+    cpu.icount -= icount_back
+    cpu.cycles -= cycles_back
+    return _slow_terminator(cpu, regs, pc, instr, tc)
+
+
+def _record_branch(cpu, pc, instr, taken, icount_back=0,
+                   cycles_back=0):
+    """Call the branch profiler from a compiled trace, as the
+    interpreter's handler would at ``pc``.
+
+    A branch folded mid-trace rewinds the batched charges of the
+    trace's un-executed suffix for the call, so the profiler reads the
+    interpreter's icount/cycles, then re-applies them.  ``taken`` is
+    an int for the flag-expression forms of a condition; the handler
+    passes a bool.
+    """
+    cpu.pc = pc
+    if icount_back:
+        cpu.icount -= icount_back
+        cpu.cycles -= cycles_back
+        cpu.branch_profiler.record(pc, instr, bool(taken), cpu.flags)
+        cpu.icount += icount_back
+        cpu.cycles += cycles_back
+    else:
+        cpu.branch_profiler.record(pc, instr, bool(taken), cpu.flags)
 
 
 class CompiledBlock:
@@ -143,11 +178,12 @@ class BlockCompileBackend:
         self.cpu = None
         self.blocks: dict[int, CompiledBlock] = {}
         #: unfolded single-basic-block variants, used while a pre-branch
-        #: hook or profiler is installed: every branch then runs through
-        #: the interpreter's handler (as the hook contract requires), so
+        #: hook is installed: every branch then runs through the
+        #: interpreter's handler (the hook may replace the branch), so
         #: folded traces would roll back and re-execute their suffix on
         #: every branch.  Plain blocks keep all straight-line code
         #: compiled and pay the slow path only for the terminator.
+        #: A branch profiler alone runs on the folded ``blocks``.
         self.hooked_blocks: dict[int, CompiledBlock] = {}
         #: word address -> set of block start addresses covering it
         self.word_map: dict[int, set] = {}
@@ -295,12 +331,12 @@ class BlockCompileBackend:
             while True:
                 if fuel <= 0:
                     return StopInfo(StopReason.STEP_LIMIT, cpu.pc)
-                # Hooks observe every branch, so folded traces would
-                # bail and roll back constantly; switch to the unfolded
-                # variants while one is installed (hooks may uninstall
-                # themselves mid-run, so re-check every dispatch).
-                hooked = (cpu.pre_branch_hook is not None
-                          or cpu.branch_profiler is not None)
+                # A pre-branch hook sees every branch through the
+                # interpreter's handler, so folded traces would bail and
+                # roll back constantly; switch to the unfolded variants
+                # while one is installed (hooks may uninstall themselves
+                # mid-run, so re-check every dispatch).
+                hooked = cpu.pre_branch_hook is not None
                 if hooked is not mode:
                     mode = hooked
                     blocks = self.hooked_blocks if hooked else self.blocks
@@ -377,7 +413,7 @@ class BlockCompileBackend:
         other way, and a path that cycles back to the trace head
         becomes a host-side loop closure.  With ``fold=False`` the walk
         stops at the first terminator instead (the single-basic-block
-        variants used while a branch hook is installed).
+        variants used while a pre-branch hook is installed).
         """
         mem = self.cpu.memory
         size = mem.size
@@ -650,26 +686,24 @@ def _compile_block(backend, start, instrs, pcs, end_addr, loop,
         # A direct branch folded into the trace.  The predicted
         # direction (backward = taken, forward = not-taken) continues
         # inline; the other direction is a side exit that rewinds the
-        # batched charges for the un-executed suffix.  Hook or profiler
-        # installed -> rewind and re-enter the interpreter's handler.
+        # batched charges for the un-executed suffix.  A pre-branch hook
+        # rewinds and re-enters the interpreter's handler; a branch
+        # profiler alone is called from here, with the charges rewound
+        # to the interpreter's values at this branch for the call.
         op = ins.op
         pck = pcs[k]
+        taken = _taken_expr(ins, cond_expr, peek)
         body.append("if cpu.pre_branch_hook is not None"
                     " or cpu.branch_profiler is not None:")
-        sub: list[str] = []
-        bail(k, sub, True)
-        sub.append(f"return _slow(cpu, regs, {pck}, _TI{k},"
-                   f" {ins.meta.cycles})")
-        body.extend("    " + ln for ln in sub)
+        back = f"{n - 1 - k}, {csuf[k + 1]}"
+        body.append("    if cpu.pre_branch_hook is not None:")
+        body.append(f"        return _slow_mid(cpu, regs, {pck}, _TI{k},"
+                    f" {ins.meta.cycles}, {back})")
+        body.append(f"    _rec(cpu, {pck}, _TI{k}, {taken}, {back})")
         env_extra[f"_TI{k}"] = ins
         if op is Op.JMP:
             body.append("cpu.cycles += 1")
             return
-        if ins.meta.cond is not None:
-            taken = cond_expr(ins.meta.cond)
-        else:
-            test = "==" if op is Op.JRZ else "!="
-            taken = f"({peek(ins.rd)}) {test} 0"
         if ins.imm < 0:  # predicted taken; side exit = fall through
             body.append(f"if not ({taken}):")
             sub = []
@@ -950,6 +984,7 @@ def _bind(backend, mem, code, env_extra, start, instrs, pcs, cs,
         "_lb": mem.load_byte, "_sb": mem.store_byte,
         "_d": mem.data, "_p": mem.perms, "_ifb": int.from_bytes,
         "_hsys": syscalls.handle_syscall, "_slow": _slow_terminator,
+        "_slow_mid": _slow_mid_branch, "_rec": _record_branch,
         "_bk": backend, "_CS": cs, "_TI": instrs[-1],
         "_PCS": tuple(pcs),
     }
@@ -959,6 +994,16 @@ def _bind(backend, mem, code, env_extra, start, instrs, pcs, cs,
                          loop)
 
 
+def _taken_expr(ins, cond_expr, peek) -> str:
+    """Direction expression of a direct JMP, Jcc, JRZ or JRNZ."""
+    if ins.op is Op.JMP:
+        return "True"
+    if ins.meta.cond is not None:
+        return cond_expr(ins.meta.cond)
+    test = "==" if ins.op is Op.JRZ else "!="
+    return f"({peek(ins.rd)}) {test} 0"
+
+
 def _emit_terminator(term, ins, pc_t, start, peek, cond_expr,
                      loop) -> None:
     """Emit the trace's final instruction (control flow / halt / sys)."""
@@ -966,9 +1011,18 @@ def _emit_terminator(term, ins, pc_t, start, peek, cond_expr,
     meta = ins.meta
     nxt = pc_t + 4
     tc = meta.cycles
-    # Direct branches run the branch profiler; every branch runs the
-    # pre-branch hook.  Either installed -> interpreter handler.
-    if op in (Op.JMP, Op.JRZ, Op.JRNZ, Op.CALL) or meta.cond is not None:
+    # Every branch runs the pre-branch hook through the interpreter's
+    # handler.  A lone branch profiler is called from the trace at
+    # direct branches; CALL keeps the handler, which records after the
+    # push.
+    if op in (Op.JMP, Op.JRZ, Op.JRNZ) or meta.cond is not None:
+        taken = _taken_expr(ins, cond_expr, peek)
+        term.append("if cpu.pre_branch_hook is not None"
+                    " or cpu.branch_profiler is not None:")
+        term.append("    if cpu.pre_branch_hook is not None:")
+        term.append(f"        return _slow(cpu, regs, {pc_t}, _TI, {tc})")
+        term.append(f"    _rec(cpu, {pc_t}, _TI, {taken})")
+    elif op is Op.CALL:
         term.append("if cpu.pre_branch_hook is not None"
                     " or cpu.branch_profiler is not None:")
         term.append(f"    return _slow(cpu, regs, {pc_t}, _TI, {tc})")
@@ -984,11 +1038,6 @@ def _emit_terminator(term, ins, pc_t, start, peek, cond_expr,
         term.append(f"cpu.pc = {nxt + ins.imm * 4}")
         term.append("return None")
     elif meta.cond is not None or op in (Op.JRZ, Op.JRNZ):
-        if meta.cond is not None:  # Jcc
-            taken = cond_expr(meta.cond)
-        else:
-            test = "==" if op is Op.JRZ else "!="
-            taken = f"({peek(ins.rd)}) {test} 0"
         taken_tgt = nxt + ins.imm * 4
         loop_taken = loop and taken_tgt == start
         term.append(f"if {taken}:")

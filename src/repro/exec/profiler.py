@@ -15,9 +15,11 @@ adding the taken-branch penalty.  So at ``record(pc, ...)`` time the
 counters cover everything up to and including the branch at ``pc`` —
 the delta since the last ``record`` is exactly the dynamic trace that
 ended with this branch, and it is credited to ``pc``.  The block
-backend batches per-block charges but re-enters the interpreter's own
-branch handlers whenever a profiler is installed, so the deltas (and
-therefore the attribution) are identical on both backends.
+backend batches per-trace charges; its compiled code calls ``record``
+inline at every direct branch, at the point where the interpreter's
+handler calls it, with the batched charges rewound to the
+interpreter's values for the call.  So the deltas (and therefore the
+attribution) are identical on both backends.
 
 Totals are **exact**: every instruction lands in exactly one delta
 (:meth:`HotBlockProfiler.finish` attributes the tail between the last
@@ -232,9 +234,9 @@ def profile_native(program: Program, backend: str = "interp",
                    max_steps: int = 50_000_000):
     """Profile a native run; returns ``(cpu, stop, profiler)``.
 
-    Works on either execution backend: compiled blocks detect the
-    installed profiler at dispatch and route terminators through the
-    interpreter's handlers, so attribution and totals match the
+    Works on either execution backend: the block backend's compiled
+    traces call the profiler inline with the interpreter's
+    icount/cycles at each branch, so attribution and totals match the
     reference interpreter exactly.
     """
     from repro.exec import install_backend

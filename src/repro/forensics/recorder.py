@@ -71,8 +71,8 @@ class FlightRecorder:
     """Ring of block-entry events plus periodic state checkpoints.
 
     Installs in the ``branch_profiler`` slot; an existing profiler is
-    chained (both observe the stream), mirroring
-    :class:`repro.machine.trace.Tracer`'s hook discipline.
+    chained (both observe the stream), the same discipline as
+    :class:`repro.exec.profiler.HotBlockProfiler`.
     """
 
     def __init__(self, capacity: int | None = DEFAULT_CAPACITY,

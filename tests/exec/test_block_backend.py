@@ -229,6 +229,130 @@ class TestHookParity:
         assert not any(b.loop for b in backend.hooked_blocks.values())
 
 
+class TestInlineProfiling:
+    """A branch profiler alone runs on the folded traces: the compiled
+    code calls ``record`` itself with the interpreter's icount/cycles,
+    so every slot user sees the interpreter's exact stream."""
+
+    @staticmethod
+    def _observe(program, backend):
+        """One run with all three slot users chained; returns what
+        each one saw plus the final state."""
+        from repro.exec.profiler import HotBlockProfiler
+        from repro.forensics import FlightRecorder
+        cpu = _fresh(program, backend)
+        branches = BranchProfiler()
+        cpu.branch_profiler = branches
+        recorder = FlightRecorder(capacity=None)
+        recorder.attach(cpu)
+        hot = HotBlockProfiler()
+        hot.attach(cpu)
+        stop = cpu.run(max_steps=MAX_STEPS)
+        hot.finish()
+        recorder.detach()
+        return {
+            "samples": {pc: tuple(c) for pc, c in hot.samples.items()},
+            "totals": (hot.total_icount, hot.total_cycles),
+            "branches": {pc: (s.taken, s.not_taken, dict(s.flags_hist))
+                         for pc, s in branches.branches.items()},
+            "events": recorder.event_list(),
+            "checkpoints": recorder.checkpoints,
+            "state": _state(cpu, stop),
+        }
+
+    def test_profiler_alone_runs_folded_blocks(self):
+        from repro.exec.profiler import profile_native
+        program = load("254.gap", "test")
+        cpu, stop, _prof = profile_native(program, backend="block",
+                                          max_steps=MAX_STEPS)
+        assert stop.reason is StopReason.HALTED
+        backend = cpu.backend
+        assert backend.blocks and not backend.hooked_blocks
+        assert any(b.loop for b in backend.blocks.values())
+
+    def _assert_streams_identical(self, program, label) -> dict:
+        ref = self._observe(program, "interp")
+        blk = self._observe(program, "block")
+        for key in ref:
+            assert blk[key] == ref[key], (label, key)
+        for event in blk["events"]:
+            assert type(event.taken) is bool, label
+        return ref
+
+    def test_suite_streams_identical(self):
+        from repro.workloads import suite_names
+        for name in suite_names():
+            seen = self._assert_streams_identical(load(name, "test"), name)
+            assert seen["events"], name
+
+    def test_generated_program_streams_identical(self):
+        """Generator programs branch on flags produced in other traces,
+        so ``record`` also gets the flag-expression form of ``taken``
+        (an int in the compiled code) and must see a bool."""
+        knobs = FuzzKnobs()
+        for seed in range(60):
+            self._assert_streams_identical(generate_program(seed, knobs),
+                                           seed)
+
+    def test_hook_installed_mid_trace(self):
+        """A hook that appears while a folded trace runs (here the
+        profiler installs it) takes over at the trace's next branch,
+        with the interpreter's exact charges."""
+        program = load("254.gap", "test")
+
+        class Installer:
+            def __init__(self, cpu, at, calls):
+                self.cpu, self.at, self.calls, self.seen = cpu, at, calls, 0
+
+            def record(self, pc, instr, taken, flags):
+                self.seen += 1
+                if self.seen == self.at:
+                    self.cpu.pre_branch_hook = (
+                        lambda c, pc, i: self.calls.append(
+                            (pc, c.icount, c.cycles)))
+
+        for at in (7, 50, 333):
+            streams = []
+            for backend in BACKEND_NAMES:
+                calls = []
+                cpu = _fresh(program, backend)
+                cpu.branch_profiler = Installer(cpu, at, calls)
+                stop = cpu.run(max_steps=MAX_STEPS)
+                streams.append((calls, _state(cpu, stop)))
+            assert streams[0][0], at
+            assert streams[1] == streams[0], at
+
+    def test_retiring_hook_switches_to_folded_blocks(self):
+        """An injector hook that fires and uninstalls itself mid-run
+        hands the rest of the run to the folded traces; the profile
+        across the switch matches the interpreter's."""
+        from repro.exec.profiler import HotBlockProfiler
+        from repro.faults.injector import (DirectionFault, FaultSpec,
+                                           NativeInjector)
+        program = load("254.gap", "test")
+        branches = BranchProfiler()
+        run_native(program, max_steps=MAX_STEPS, profiler=branches)
+        site = sorted(pc for pc, s in branches.branches.items()
+                      if s.executions > 2 and s.instr.meta.cond)[0]
+        spec = FaultSpec(site, 2, DirectionFault(taken=None))
+        observed = []
+        for backend in BACKEND_NAMES:
+            cpu = _fresh(program, backend)
+            injector = NativeInjector(spec, program)
+            injector.install(cpu)
+            hot = HotBlockProfiler()
+            hot.attach(cpu)
+            stop = cpu.run(max_steps=MAX_STEPS)
+            hot.finish()
+            assert injector.fired and cpu.pre_branch_hook is None
+            observed.append(({pc: tuple(c)
+                              for pc, c in hot.samples.items()},
+                             _state(cpu, stop)))
+            if backend == "block":
+                assert cpu.backend.hooked_blocks and cpu.backend.blocks
+        assert observed[0] == observed[1]
+
+
 class TestCompilation:
     def test_loop_trace_compiled(self):
         program = load("254.gap", "test")

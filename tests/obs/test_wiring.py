@@ -152,6 +152,52 @@ class TestDbt:
         assert result.ok
 
 
+class TestBlockBackend:
+    """The branch-mix counter rides the profiler slot, which the block
+    backend serves from its folded traces: an observed block run must
+    not fall back to the unfolded hooked variants."""
+
+    @staticmethod
+    def _branch_counts(registry):
+        return tuple(
+            counter_value(registry, "interp_branches_total",
+                          direction=direction)
+            for direction in ("taken", "not_taken")) + (
+            counter_value(registry, "dbt_checks_executed_total"),)
+
+    def test_native_block_run_stays_folded(self):
+        from repro.workloads import load
+        program = load("254.gap", "test")
+        counts = {}
+        for backend in ("interp", "block"):
+            registry, _ = install()
+            cpu, _ = run_native(program, backend=backend)
+            obs.uninstall()
+            counts[backend] = self._branch_counts(registry)
+            if backend == "block":
+                assert cpu.backend.blocks
+                assert not cpu.backend.hooked_blocks
+                assert any(b.loop for b in cpu.backend.blocks.values())
+        assert counts["interp"][0] > 0
+        assert counts["block"] == counts["interp"]
+
+    def test_dbt_block_run_counts_checks_like_interp(self):
+        from repro.exec import install_backend
+        counts = {}
+        for backend in ("interp", "block"):
+            registry, _ = install()
+            dbt = Dbt(assemble(LOOP), technique=EdgCF())
+            install_backend(dbt.cpu, backend)
+            assert dbt.run().ok
+            obs.uninstall()
+            counts[backend] = self._branch_counts(registry)
+            if backend == "block":
+                assert dbt.cpu.backend.blocks
+                assert not dbt.cpu.backend.hooked_blocks
+        assert counts["interp"][2] > 0
+        assert counts["block"] == counts["interp"]
+
+
 class TestWorkerProtocol:
     def test_drain_roundtrip_matches_direct_counts(self):
         worker = MetricsRegistry(worker=True)
