@@ -114,6 +114,10 @@ class Dbt:
         self._dirty_pages: set[int] = set()
         #: consulted by the run loop when an INJECT_TRAP fires
         self.inject_redirect = None      # callable () -> guest addr
+        #: called with every new TranslatedBlock (blocks and suffixes)
+        #: and with None when the cache is flushed; fault injectors use
+        #: it to arm the cache sites of a guest branch as they appear
+        self.translation_listener = None
         #: (owner, resume) -> suffix TranslatedBlock
         self._suffixes: dict[tuple[int, int], TranslatedBlock] = {}
         self._static_cfg = None
@@ -176,6 +180,8 @@ class Dbt:
         for slot in tb.exit_slots:
             self.slots[slot.slot_id] = slot
         self._protect_guest_pages(guest_block)
+        if self.translation_listener is not None:
+            self.translation_listener(tb)
         return tb
 
     def ensure_suffix(self, owner_start: int,
@@ -198,6 +204,8 @@ class Dbt:
         self._check_sites.update(tb.check_addresses)
         for slot in tb.exit_slots:
             self.slots[slot.slot_id] = slot
+        if self.translation_listener is not None:
+            self.translation_listener(tb)
         return tb
 
     def _next_block_start_after(self, addr: int) -> int | None:
@@ -309,6 +317,8 @@ class Dbt:
         self._entry_stub = None
         self.flushes += 1
         self.cpu._dcache.clear()
+        if self.translation_listener is not None:
+            self.translation_listener(None)
 
     # -- the run loop -----------------------------------------------------------
 

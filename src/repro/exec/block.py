@@ -18,14 +18,19 @@ interpreter (``Cpu._run_loop``).  The techniques used to keep it:
   block, step budget smaller than the block);
 * per-block rollback tables so a mid-block memory fault or div-by-zero
   rewinds the batched charges to exactly the interpreter's accounting;
-* a pre-branch hook (which may replace the branch) sends every branch
-  through the interpreter's own handler, on unfolded single-block
-  variants; a branch profiler alone is called from the folded traces
+* fault hooks are armed per branch pc (``cpu.branch_hooks``): every
+  compiled branch checks the dict at run time, and only an armed pc
+  leaves the trace for the interpreter's own handler (the hook may
+  replace the branch); a branch profiler is called from the traces
   themselves, with the batched charges rewound to the interpreter's
   values at the branch for the call;
 * compiled blocks are invalidated on any store into their words (SMC),
   and an epoch counter makes an in-flight closure bail right after the
-  store that invalidated it.
+  store that invalidated it.  A page whose compiled code has been
+  invalidated is code that gets rewritten (a DBT code cache is patched
+  on every chain), so traces starting there are compiled one basic
+  block at a time, since a folded trace would be rebuilt after every
+  patch; a block that turns hot there is recompiled folded.
 """
 
 from __future__ import annotations
@@ -46,6 +51,11 @@ _M = 0xFFFFFFFF
 
 #: Cap on block length; long straight-line runs are split.
 MAX_BLOCK_INSTRS = 128
+
+#: Runs after which a single-basic-block trace on a rewritten page is
+#: recompiled folded: by then the code around it has usually stopped
+#: changing (chain patches come early in a DBT run).
+HOT_RUNS = 256
 
 #: Process-level cache of compiled code objects keyed by trace content
 #: (start/end layout + the raw instruction bytes).  Fault campaigns run
@@ -103,15 +113,15 @@ _COND_FLAG_EXPR = {
 def _slow_terminator(cpu, regs, pc, instr, tc):
     """Run a branch through the interpreter's own handler.
 
-    Used whenever a pre-branch hook is installed (the handler also
-    feeds any branch profiler), and for CALL under a branch profiler.
-    The batched block charge already counted this instruction, but the
-    interpreter calls the hook *before* charging — so rewind, hook,
-    re-charge (with the replacement's cost, if the hook substituted an
-    instruction), then dispatch.
+    Used for a branch whose pc is armed in ``cpu.branch_hooks`` (the
+    handler also feeds any branch profiler), and for CALL under a
+    branch profiler.  The batched block charge already counted this
+    instruction, but the interpreter calls the hook *before* charging —
+    so rewind, hook, re-charge (with the replacement's cost, if the
+    hook substituted an instruction), then dispatch.
     """
     cpu.pc = pc
-    hook = cpu.pre_branch_hook
+    hook = cpu.branch_hooks.get(pc)
     if hook is not None and instr.meta.is_branch:
         cpu.icount -= 1
         cpu.cycles -= tc
@@ -155,7 +165,8 @@ def _record_branch(cpu, pc, instr, taken, icount_back=0,
 
 
 class CompiledBlock:
-    __slots__ = ("start", "n", "fn", "words", "links", "alive", "loop")
+    __slots__ = ("start", "n", "fn", "words", "links", "alive", "loop",
+                 "heat")
 
     def __init__(self, start, n, fn, words, loop):
         self.start = start
@@ -167,6 +178,9 @@ class CompiledBlock:
         self.alive = True
         #: self-loop block: fn(cpu, regs, iters) iterates host-side
         self.loop = loop
+        #: runs left before an unfolded trace is recompiled folded
+        #: (0: never, the trace is folded or would not grow)
+        self.heat = 0
 
 
 class BlockCompileBackend:
@@ -177,14 +191,9 @@ class BlockCompileBackend:
     def __init__(self):
         self.cpu = None
         self.blocks: dict[int, CompiledBlock] = {}
-        #: unfolded single-basic-block variants, used while a pre-branch
-        #: hook is installed: every branch then runs through the
-        #: interpreter's handler (the hook may replace the branch), so
-        #: folded traces would roll back and re-execute their suffix on
-        #: every branch.  Plain blocks keep all straight-line code
-        #: compiled and pay the slow path only for the terminator.
-        #: A branch profiler alone runs on the folded ``blocks``.
-        self.hooked_blocks: dict[int, CompiledBlock] = {}
+        #: pages (addr >> 12) holding the start of an invalidated block;
+        #: traces starting there are compiled as single basic blocks
+        self.rewritten_pages: set[int] = set()
         #: word address -> set of block start addresses covering it
         self.word_map: dict[int, set] = {}
         #: bumped on every invalidation; closures bail when it moves
@@ -237,23 +246,23 @@ class BlockCompileBackend:
 
     def _kill(self, starts) -> None:
         word_map = self.word_map
+        blocks = self.blocks
         for start in starts:
-            for blocks in (self.blocks, self.hooked_blocks):
-                block = blocks.pop(start, None)
-                if block is None:
-                    continue
-                block.alive = False
-                for waddr in block.words:
-                    s = word_map.get(waddr)
-                    if s is not None:
-                        s.discard(start)
-                        if not s:
-                            del word_map[waddr]
+            self.rewritten_pages.add(start >> 12)
+            block = blocks.pop(start, None)
+            if block is None:
+                continue
+            block.alive = False
+            for waddr in block.words:
+                s = word_map.get(waddr)
+                if s is not None:
+                    s.discard(start)
+                    if not s:
+                        del word_map[waddr]
         # Chained successors bypass the dict lookup, so drop every link.
-        for blocks in (self.blocks, self.hooked_blocks):
-            for block in blocks.values():
-                if block.links:
-                    block.links.clear()
+        for block in blocks.values():
+            if block.links:
+                block.links.clear()
         self.epoch += 1
         self.invalidations += len(starts)
 
@@ -264,11 +273,10 @@ class BlockCompileBackend:
             self.flush()
 
     def flush(self) -> None:
-        for blocks in (self.blocks, self.hooked_blocks):
-            for block in blocks.values():
-                block.alive = False
-                block.links.clear()
-            blocks.clear()
+        for block in self.blocks.values():
+            block.alive = False
+            block.links.clear()
+        self.blocks.clear()
         self.word_map.clear()
         self._lo = 1 << 62
         self._hi = 0
@@ -324,23 +332,13 @@ class BlockCompileBackend:
         regs = cpu.regs
         fuel = max_steps
         prev = None
-        mode = None
         blocks = self.blocks
+        rewritten = self.rewritten_pages
         hits = misses = runs = 0
         try:
             while True:
                 if fuel <= 0:
                     return StopInfo(StopReason.STEP_LIMIT, cpu.pc)
-                # A pre-branch hook sees every branch through the
-                # interpreter's handler, so folded traces would bail and
-                # roll back constantly; switch to the unfolded variants
-                # while one is installed (hooks may uninstall themselves
-                # mid-run, so re-check every dispatch).
-                hooked = cpu.pre_branch_hook is not None
-                if hooked is not mode:
-                    mode = hooked
-                    blocks = self.hooked_blocks if hooked else self.blocks
-                    prev = None
                 pc = cpu.pc
                 block = prev.links.get(pc) if prev is not None else None
                 if block is not None:
@@ -348,7 +346,7 @@ class BlockCompileBackend:
                 else:
                     block = blocks.get(pc)
                     if block is None:
-                        block = self._compile(pc, fold=not hooked)
+                        block = self._compile(pc, pc >> 12 not in rewritten)
                     if block is not None and prev is not None:
                         prev.links[pc] = block
                         misses += 1
@@ -362,6 +360,10 @@ class BlockCompileBackend:
                         return stop
                     prev = None
                     continue
+                if block.heat:
+                    block.heat -= 1
+                    if not block.heat:
+                        self._refold(block)
                 n = block.n
                 sf = cpu.scheduled_fault
                 if sf is not None and cpu.icount + n > sf[0]:
@@ -403,7 +405,16 @@ class BlockCompileBackend:
 
     # -- trace discovery ---------------------------------------------------
 
-    def _compile(self, pc: int, fold: bool = True) -> CompiledBlock | None:
+    def _refold(self, block) -> None:
+        """Recompile a hot single-basic-block trace folded.  The folded
+        walk extends the unfolded one, so the block is updated in place
+        and chain links into it stay valid."""
+        folded = self._compile(block.start, True)
+        block.fn, block.n, block.words, block.loop = (
+            folded.fn, folded.n, folded.words, folded.loop)
+        self.blocks[block.start] = block
+
+    def _compile(self, pc: int, fold: bool) -> CompiledBlock | None:
         """Decode a trace starting at ``pc`` and compile it.
 
         The walk follows direct control flow the way the paper's DBT
@@ -411,9 +422,11 @@ class BlockCompileBackend:
         branches continue along the predicted direction (backward =
         taken, forward = not-taken) with a compiled side exit for the
         other way, and a path that cycles back to the trace head
-        becomes a host-side loop closure.  With ``fold=False`` the walk
-        stops at the first terminator instead (the single-basic-block
-        variants used while a pre-branch hook is installed).
+        becomes a host-side loop closure.  With ``fold`` false (a page
+        in ``rewritten_pages``) the walk stops at the first terminator
+        instead: one basic block, no loop closure.  If that terminator
+        could have been folded, the block is recompiled folded once it
+        has run ``HOT_RUNS`` times.
         """
         mem = self.cpu.memory
         size = mem.size
@@ -424,6 +437,7 @@ class BlockCompileBackend:
         if not perms[pc >> 12] & PERM_X:
             return None
         t0 = time.perf_counter()
+        heat = 0
         instrs = []
         pcs = []
         seen = set()
@@ -453,18 +467,19 @@ class BlockCompileBackend:
             meta = instr.meta
             op = instr.op
             if meta.is_block_terminator:
-                if not fold:
-                    break
                 if op is Op.JMP:
-                    addr = addr + 4 + instr.imm * 4
-                    continue
-                if meta.cond is not None or op in (Op.JRZ, Op.JRNZ):
-                    if instr.imm < 0:
-                        addr = addr + 4 + instr.imm * 4
-                    else:
-                        addr += 4
-                    continue
-                break  # call/indirect/ret/trap/halt end the trace
+                    nxt = addr + 4 + instr.imm * 4
+                elif meta.cond is not None or op in (Op.JRZ, Op.JRNZ):
+                    # the predicted direction: backward taken, forward not
+                    nxt = addr + 4 + instr.imm * 4 if instr.imm < 0 \
+                        else addr + 4
+                else:
+                    break  # call/indirect/ret/trap/halt end the trace
+                if not fold:
+                    heat = HOT_RUNS
+                    break
+                addr = nxt
+                continue
             if op is Op.SYSCALL:
                 # SYSCALL ends the trace: it can halt, fault
                 # (print-str) or read the cycle counter, so the
@@ -474,7 +489,8 @@ class BlockCompileBackend:
         if not instrs:
             return None
         block = _compile_block(self, pc, instrs, pcs, addr, loop, mem)
-        (self.blocks if fold else self.hooked_blocks)[pc] = block
+        block.heat = heat
+        self.blocks[pc] = block
         word_map = self.word_map
         for waddr in block.words:
             word_map.setdefault(waddr, set()).add(pc)
@@ -686,19 +702,18 @@ def _compile_block(backend, start, instrs, pcs, end_addr, loop,
         # A direct branch folded into the trace.  The predicted
         # direction (backward = taken, forward = not-taken) continues
         # inline; the other direction is a side exit that rewinds the
-        # batched charges for the un-executed suffix.  A pre-branch hook
-        # rewinds and re-enters the interpreter's handler; a branch
-        # profiler alone is called from here, with the charges rewound
+        # batched charges for the un-executed suffix.  A hook armed at
+        # this pc rewinds and re-enters the interpreter's handler; a
+        # branch profiler is called from here, with the charges rewound
         # to the interpreter's values at this branch for the call.
         op = ins.op
         pck = pcs[k]
         taken = _taken_expr(ins, cond_expr, peek)
-        body.append("if cpu.pre_branch_hook is not None"
-                    " or cpu.branch_profiler is not None:")
         back = f"{n - 1 - k}, {csuf[k + 1]}"
-        body.append("    if cpu.pre_branch_hook is not None:")
-        body.append(f"        return _slow_mid(cpu, regs, {pck}, _TI{k},"
+        body.append(f"if {_armed(pck)}:")
+        body.append(f"    return _slow_mid(cpu, regs, {pck}, _TI{k},"
                     f" {ins.meta.cycles}, {back})")
+        body.append("if cpu.branch_profiler is not None:")
         body.append(f"    _rec(cpu, {pck}, _TI{k}, {taken}, {back})")
         env_extra[f"_TI{k}"] = ins
         if op is Op.JMP:
@@ -994,6 +1009,13 @@ def _bind(backend, mem, code, env_extra, start, instrs, pcs, cs,
                          loop)
 
 
+def _armed(pc) -> str:
+    """Is a fault hook armed at ``pc``?  Read at run time: a hook armed
+    while a trace runs takes over at its next branch.  The truth test
+    first keeps an unhooked run at one cheap check."""
+    return f"cpu.branch_hooks and {pc} in cpu.branch_hooks"
+
+
 def _taken_expr(ins, cond_expr, peek) -> str:
     """Direction expression of a direct JMP, Jcc, JRZ or JRNZ."""
     if ins.op is Op.JMP:
@@ -1011,23 +1033,21 @@ def _emit_terminator(term, ins, pc_t, start, peek, cond_expr,
     meta = ins.meta
     nxt = pc_t + 4
     tc = meta.cycles
-    # Every branch runs the pre-branch hook through the interpreter's
-    # handler.  A lone branch profiler is called from the trace at
-    # direct branches; CALL keeps the handler, which records after the
-    # push.
+    # A branch armed in cpu.branch_hooks runs its hook through the
+    # interpreter's handler.  A branch profiler is called from the
+    # trace at direct branches; CALL keeps the handler, which records
+    # after the push.
     if op in (Op.JMP, Op.JRZ, Op.JRNZ) or meta.cond is not None:
         taken = _taken_expr(ins, cond_expr, peek)
-        term.append("if cpu.pre_branch_hook is not None"
-                    " or cpu.branch_profiler is not None:")
-        term.append("    if cpu.pre_branch_hook is not None:")
-        term.append(f"        return _slow(cpu, regs, {pc_t}, _TI, {tc})")
+        term.append(f"if {_armed(pc_t)}:")
+        term.append(f"    return _slow(cpu, regs, {pc_t}, _TI, {tc})")
+        term.append("if cpu.branch_profiler is not None:")
         term.append(f"    _rec(cpu, {pc_t}, _TI, {taken})")
     elif op is Op.CALL:
-        term.append("if cpu.pre_branch_hook is not None"
-                    " or cpu.branch_profiler is not None:")
+        term.append(f"if {_armed(pc_t)} or cpu.branch_profiler is not None:")
         term.append(f"    return _slow(cpu, regs, {pc_t}, _TI, {tc})")
     elif op in (Op.JMPR, Op.CALLR, Op.RET, Op.TRAP):
-        term.append("if cpu.pre_branch_hook is not None:")
+        term.append(f"if {_armed(pc_t)}:")
         term.append(f"    return _slow(cpu, regs, {pc_t}, _TI, {tc})")
     if op is Op.JMP:
         term.append("cpu.cycles += 1")

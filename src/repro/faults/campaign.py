@@ -625,17 +625,7 @@ class Pipeline:
                 return "limit"
             return "done"
 
-        if isinstance(injector, DbtInjector):
-            def reinstall():
-                # Site addresses are stale after a cache flush; force a
-                # re-enumeration against the fresh translations.
-                injector._sites.clear()
-                injector._known_translations = -1
-                injector.install()
-        elif injector is not None:
-            reinstall = injector.install
-        else:
-            reinstall = None
+        reinstall = injector.install if injector is not None else None
 
         manager = self._recovery_manager(
             dbt.cpu, fault, injector, max_steps,

@@ -112,7 +112,7 @@ _NOP = Instruction(op=Op.NOP)
 
 
 class _HookBase:
-    """Shared occurrence counting for pre-branch hooks."""
+    """Shared occurrence counting for branch hooks armed per site."""
 
     def __init__(self, spec: FaultSpec):
         self.spec = spec
@@ -124,7 +124,8 @@ class _HookBase:
         self.fired_cycles: int | None = None
         #: guest tid that was running when the fault applied
         self.fired_tid: int | None = None
-        self.armed_site: int | None = None
+        #: run-image addresses this hook is armed at
+        self.sites: set[int] = set()
 
     def _thread_ok(self, cpu: Cpu) -> bool:
         """Thread-targeted specs only count the victim tid's visits."""
@@ -133,18 +134,29 @@ class _HookBase:
                 or getattr(cpu, "current_tid", 0) == thread)
 
     def _hit(self, pc: int) -> bool:
-        if self.fired or pc != self.armed_site:
+        if self.fired or pc not in self.sites:
             return False
         self.count += 1
         return self.count == self.spec.occurrence
 
+    def _fire(self, cpu: Cpu) -> None:
+        """Record the firing point and retire: a fired hook is a
+        permanent no-op, so its sites go back to full speed."""
+        self.fired = True
+        self.fired_icount = cpu.icount
+        self.fired_cycles = cpu.cycles
+        self.fired_tid = getattr(cpu, "current_tid", 0)
+        self._retire(cpu)
+
     def _retire(self, cpu: Cpu) -> None:
-        """Uninstall a fired hook: it is a permanent no-op from here on,
-        and an empty hook slot lets compiled backends run branches at
-        full speed.  Only when installed directly — the flight recorder
-        chains hooks, and clearing its slot would silence the trace."""
-        if cpu.pre_branch_hook == self.hook:
-            cpu.pre_branch_hook = None
+        """Disarm this injector's sites.  Only slots still holding this
+        hook are popped: a hook armed later at the same pc replaced it
+        and stays.  (Profilers, the flight recorder included, ride
+        ``cpu.branch_profiler`` and are never affected.)"""
+        hooks = cpu.branch_hooks
+        for site in self.sites:
+            if hooks.get(site) == self.hook:
+                del hooks[site]
 
 
 class NativeInjector(_HookBase):
@@ -166,10 +178,11 @@ class NativeInjector(_HookBase):
         self.noncode_target = noncode_target
         site = spec.branch_pc if site_map is None else site_map(
             spec.branch_pc)
-        self.armed_site = site
+        self.sites = {site}
 
     def install(self, cpu: Cpu) -> None:
-        cpu.pre_branch_hook = self.hook
+        for site in self.sites:
+            cpu.branch_hooks[site] = self.hook
 
     @staticmethod
     def _natural_direction(cpu: Cpu, instr: Instruction) -> bool:
@@ -184,15 +197,9 @@ class NativeInjector(_HookBase):
 
     def hook(self, cpu: Cpu, pc: int, instr: Instruction
              ) -> Instruction | None:
-        if self.fired:
-            self._retire(cpu)
-            return None
         if not self._thread_ok(cpu) or not self._hit(pc):
             return None
-        self.fired = True
-        self.fired_icount = cpu.icount
-        self.fired_cycles = cpu.cycles
-        self.fired_tid = getattr(cpu, "current_tid", 0)
+        self._fire(cpu)
         fault = self.spec.fault
         meta = instr.meta
         if isinstance(fault, OffsetBitFault):
@@ -250,62 +257,58 @@ class DbtInjector(_HookBase):
 
     The hook arms itself lazily: the site is the translated transfer
     instruction of the branch's block, which only exists once the block
-    has been translated.
+    has been translated.  The DBT's translation listener arms each new
+    translation of the branch and disarms them all on a cache flush
+    (the flushed cache addresses are reused by new code).
     """
 
     def __init__(self, spec: FaultSpec, dbt):
         super().__init__(spec)
         self.dbt = dbt
         self._redirect_target: int | None = None
-        #: every cache site standing in for the guest branch.  One
-        #: guest branch can be translated several times (overlapping
-        #: blocks, suffix translations), so occurrence counting spans
-        #: all of them.
-        self._sites: set[int] = set()
-        self._known_translations = -1
         dbt.inject_redirect = self._redirect
+        dbt.translation_listener = self._on_translation
 
     def install(self) -> None:
-        self.dbt.cpu.pre_branch_hook = self.hook
+        """(Re-)arm every current translation of the branch."""
+        cpu = self.dbt.cpu
+        self._retire(cpu)
+        self.sites.clear()
+        for translations in (self.dbt.blocks, self.dbt._suffixes):
+            for tb in translations.values():
+                self._arm(cpu, tb)
+
+    def _arm(self, cpu: Cpu, tb) -> None:
+        # Every cache site standing in for the guest branch counts: one
+        # guest branch can be translated several times (overlapping
+        # blocks, suffix translations).
+        if (tb.guest_terminator == self.spec.branch_pc
+                and tb.terminator_site is not None):
+            self.sites.add(tb.terminator_site)
+            cpu.branch_hooks[tb.terminator_site] = self.hook
+
+    def _on_translation(self, tb) -> None:
+        cpu = self.dbt.cpu
+        if tb is None:
+            self._retire(cpu)
+            self.sites.clear()
+        elif not self.fired:
+            self._arm(cpu, tb)
 
     def _redirect(self) -> int:
         assert self._redirect_target is not None
         return self._redirect_target
 
-    def _refresh_sites(self) -> None:
-        count = len(self.dbt.blocks) + len(self.dbt._suffixes)
-        if count == self._known_translations:
-            return
-        self._known_translations = count
-        for tb in list(self.dbt.blocks.values()) + list(
-                self.dbt._suffixes.values()):
-            if (tb.guest_terminator == self.spec.branch_pc
-                    and tb.terminator_site is not None):
-                self._sites.add(tb.terminator_site)
-
-    def _hit(self, pc: int) -> bool:
-        if self.fired or pc not in self._sites:
-            return False
-        self.count += 1
-        return self.count == self.spec.occurrence
-
     def hook(self, cpu: Cpu, pc: int, instr: Instruction
              ) -> Instruction | None:
-        if self.fired:
-            self._retire(cpu)
-            return None
-        self._refresh_sites()
         if not self._thread_ok(cpu) or not self._hit(pc):
             return None
         fault = self.spec.fault
         guest_instr = self.dbt.program.instruction_at(self.spec.branch_pc)
         will_take, can_fall = self._direction(cpu, instr)
-        self.fired_icount = cpu.icount
-        self.fired_cycles = cpu.cycles
-        self.fired_tid = getattr(cpu, "current_tid", 0)
+        self._fire(cpu)
 
         if isinstance(fault, OffsetBitFault):
-            self.fired = True
             if not will_take:
                 return None   # corrupted target unused: harmless
             landing = corrupted_target(self.spec.branch_pc, guest_instr,
@@ -314,22 +317,18 @@ class DbtInjector(_HookBase):
         if isinstance(fault, FlagBitFault):
             cond = guest_instr.meta.cond
             if cond is None:
-                self.fired = True
                 return None
             before = evaluate_cond(cond, cpu.flags)
             after = evaluate_cond(cond, cpu.flags ^ (1 << fault.bit))
-            self.fired = True
             if before == after:
                 return None
             return self._force_direction(instr, after)
         if isinstance(fault, DirectionFault):
-            self.fired = True
             taken = fault.taken
             if taken is None:
                 taken = not will_take
             return self._force_direction(instr, taken)
         if isinstance(fault, RedirectFault):
-            self.fired = True
             return self._fire_redirect(fault.target)
         raise TypeError(f"unknown fault {fault!r}")
 
@@ -499,17 +498,11 @@ class CacheLevelInjector:
         self.fired_cycles: int | None = None
 
     def install(self) -> None:
-        self.dbt.cpu.pre_branch_hook = self.hook
+        self.dbt.cpu.branch_hooks[self.spec.cache_addr] = self.hook
 
     def hook(self, cpu: Cpu, pc: int, instr: Instruction
              ) -> Instruction | None:
-        if self.fired:
-            # Same retirement rule as _HookBase._retire: a fired hook
-            # is a permanent no-op, so free the slot when it is ours.
-            if cpu.pre_branch_hook == self.hook:
-                cpu.pre_branch_hook = None
-            return None
-        if pc != self.spec.cache_addr:
+        if self.fired or pc != self.spec.cache_addr:
             return None
         self.count += 1
         if self.count != self.spec.occurrence:
@@ -517,6 +510,9 @@ class CacheLevelInjector:
         self.fired = True
         self.fired_icount = cpu.icount
         self.fired_cycles = cpu.cycles
+        # Same retirement rule as _HookBase._retire.
+        if cpu.branch_hooks.get(pc) == self.hook:
+            del cpu.branch_hooks[pc]
         word = self.dbt.cpu.memory.read_word_raw(pc)
         corrupted = decode(word ^ (1 << self.spec.bit))
         if corrupted.op is Op.TRAP:

@@ -74,7 +74,7 @@ class OpInfo:
 
         TRAP counts: in translated code the DBT's exit traps stand in
         for the guest branch they replace, and the fault injector's
-        pre-branch hook must fire on them too.
+        branch hooks must fire on them too.
         """
         return self.kind in (
             Kind.BRANCH_COND,

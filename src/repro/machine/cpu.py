@@ -507,9 +507,11 @@ class Cpu:
         self.syscall_trace: list | None = None
         #: set by the CFC_ERROR syscall when an instrumented check fires
         self.cfc_error: bool = False
-        #: fault-injection hook: called as hook(cpu, pc, instr) before a
-        #: branch executes; may return a replacement Instruction.
-        self.pre_branch_hook = None
+        #: fault-injection hooks armed per site: pc -> hook, called as
+        #: hook(cpu, pc, instr) before the branch at that pc executes;
+        #: may return a replacement Instruction.  Branches at unarmed
+        #: pcs run at full speed on every backend.
+        self.branch_hooks: dict = {}
         #: profiling hook: called as profiler.record(pc, instr, taken,
         #: flags) after every direct branch resolves.
         self.branch_profiler = None
@@ -711,12 +713,14 @@ class Cpu:
                     dcache[pc] = (instr, meta, handler, is_branch)
                 else:
                     instr, meta, handler, is_branch = cached
-                if is_branch and self.pre_branch_hook is not None:
-                    replacement = self.pre_branch_hook(self, pc, instr)
-                    if replacement is not None:
-                        instr = replacement
-                        meta = instr.meta
-                        handler = dispatch[instr.op]
+                if is_branch and self.branch_hooks:
+                    hook = self.branch_hooks.get(pc)
+                    if hook is not None:
+                        replacement = hook(self, pc, instr)
+                        if replacement is not None:
+                            instr = replacement
+                            meta = instr.meta
+                            handler = dispatch[instr.op]
                 if (self.scheduled_fault is not None
                         and self.icount >= self.scheduled_fault[0]):
                     apply_fault = self.scheduled_fault[1]

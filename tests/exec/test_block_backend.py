@@ -145,18 +145,33 @@ class TestFaultParity:
             assert states[0] == states[1], f"icount {icount}"
 
 
+def _text_pcs(program):
+    return range(program.text_base, program.text_base + len(program.text),
+                 4)
+
+
+def _arm_everywhere(cpu, program, hook):
+    for pc in _text_pcs(program):
+        cpu.branch_hooks[pc] = hook
+
+
 class TestHookParity:
     def test_pre_branch_hook_sees_identical_stream(self):
+        """Hooks armed at every pc of the text: each branch of every
+        folded trace (mid-trace and terminator) leaves through the
+        armed slow path with the interpreter's charges."""
         program = load("254.gap", "test")
         streams = []
         for backend in BACKEND_NAMES:
             calls = []
             cpu = _fresh(program, backend)
-            cpu.pre_branch_hook = (
-                lambda c, pc, instr: calls.append(
-                    (pc, c.icount, c.cycles, instr.op)))
+            _arm_everywhere(cpu, program, lambda c, pc, instr: calls.append(
+                (pc, c.icount, c.cycles, instr.op)))
             stop = cpu.run(max_steps=MAX_STEPS)
             streams.append((calls, _state(cpu, stop)))
+            if backend == "block":
+                assert any(b.loop for b in cpu.backend.blocks.values())
+        assert streams[0][0]
         assert streams[0] == streams[1]
 
     def test_profiler_counts_identical(self):
@@ -177,9 +192,7 @@ class TestHookParity:
         from repro.faults.injector import (DirectionFault, FaultSpec,
                                            NativeInjector)
         program = load("254.gap", "test")
-        branch_pcs = sorted(
-            pc for pc in range(program.text_base,
-                               program.text_base + len(program.text), 4))
+        branch_pcs = sorted(_text_pcs(program))
         states = []
         for backend in BACKEND_NAMES:
             cpu = _fresh(program, backend)
@@ -216,17 +229,121 @@ class TestHookParity:
         injector.install(cpu)
         cpu.run(max_steps=MAX_STEPS)
         assert injector.fired
-        assert cpu.pre_branch_hook is None  # retired after firing
+        assert not cpu.branch_hooks  # retired after firing
 
-    def test_hooked_mode_uses_unfolded_blocks(self):
+    def test_retire_pops_only_own_sites(self):
+        from repro.faults.injector import (DirectionFault, FaultSpec,
+                                           NativeInjector)
+        program = load("254.gap", "test")
+        branches = BranchProfiler()
+        run_native(program, max_steps=MAX_STEPS, profiler=branches)
+        site = sorted(pc for pc, s in branches.branches.items()
+                      if s.instr.meta.cond)[0]
+        for backend in BACKEND_NAMES:
+            cpu = _fresh(program, backend)
+            injector = NativeInjector(FaultSpec(site, 1, DirectionFault()),
+                                      program)
+            injector.install(cpu)
+            foreign = cpu.branch_hooks[program.text_base] = (
+                lambda c, pc, instr: None)
+            cpu.run(max_steps=MAX_STEPS)
+            assert injector.fired
+            assert cpu.branch_hooks == {program.text_base: foreign}
+
+
+class TestFoldRule:
+    """Traces fold unless their page holds code that has been
+    invalidated by a write: then they compile one basic block at a
+    time, so a rewritten page does not rebuild long traces."""
+
+    def test_dbt_patched_pages_compile_single_blocks(self, monkeypatch):
+        import repro.exec.block as block_mod
+        from repro.checking import RCF
+        from repro.dbt import Dbt
+        monkeypatch.setattr(block_mod, "HOT_RUNS", 8)  # a short program
+        program = load("254.gap", "test")
+        dbt = Dbt(program, technique=RCF())
+        backend = install_backend(dbt.cpu, "block")
+        compile_trace = backend._compile
+        compiled = []
+
+        def spy(pc, fold):
+            block = compile_trace(pc, fold)
+            compiled.append((fold, pc >> 12 in backend.rewritten_pages,
+                             block.start, block.words, block.loop))
+            return block
+
+        backend._compile = spy
+        assert dbt.run(max_steps=MAX_STEPS).ok
+        unfolded = [c for c in compiled if not c[0]]
+        assert unfolded, "no chain patch invalidated a compiled trace"
+        for _, rewritten, start, words, loop in unfolded:
+            assert rewritten and not loop
+            assert list(words) == list(range(start, start + 4 * len(words),
+                                             4))
+        # a hot block on a patched page is recompiled folded, and the
+        # guest loop gets its closure back
+        refolded = [c for c in compiled if c[0] and c[1]]
+        assert any(c[4] for c in refolded)
+
+    @pytest.mark.parametrize("hot_runs", [1, 256])
+    def test_dbt_campaign_identical_across_backends(self, monkeypatch,
+                                                     hot_runs):
+        """Unfolded, hot-refolded and folded traces on code-cache pages
+        give the interpreter's exact fault runs (``hot_runs=1`` refolds
+        a block on its first run)."""
+        import repro.exec.block as block_mod
+        from repro.faults import (CampaignExecutor, PipelineConfig,
+                                  generate_category_faults)
+        monkeypatch.setattr(block_mod, "HOT_RUNS", hot_runs)
+        program = load("254.gap", "test")
+        generated = generate_category_faults(program, per_category=4,
+                                             seed=5)
+        specs = [spec for specs in generated.by_category.values()
+                 for spec in specs]
+        records = [CampaignExecutor(program, PipelineConfig(
+            "dbt", "rcf", backend=backend)).run_specs(specs)
+            for backend in BACKEND_NAMES]
+        assert records[0] == records[1]
+
+    def test_native_text_keeps_loop_closures(self):
         program = load("254.gap", "test")
         cpu = _fresh(program, "block")
-        cpu.pre_branch_hook = lambda c, pc, instr: None
         cpu.run(max_steps=MAX_STEPS)
-        backend = cpu.backend
-        assert backend.hooked_blocks and not backend.blocks
-        # unfolded variants stop at the first terminator: no loops
-        assert not any(b.loop for b in backend.hooked_blocks.values())
+        assert not cpu.backend.rewritten_pages
+        assert any(b.loop for b in cpu.backend.blocks.values())
+
+    def test_unfired_injector_keeps_loop_closures(self):
+        """An armed NativeInjector whose occurrence never comes leaves
+        the run on folded traces, and one that does come fires at the
+        interpreter's occurrence, icount and cycles."""
+        from repro.faults.injector import (DirectionFault, FaultSpec,
+                                           NativeInjector)
+        program = load("254.gap", "test")
+        branches = BranchProfiler()
+        run_native(program, max_steps=MAX_STEPS, profiler=branches)
+        site, stats = max(((pc, s) for pc, s in branches.branches.items()
+                           if s.instr.meta.cond),
+                          key=lambda item: item[1].executions)
+        cpu = _fresh(program, "block")
+        idle = NativeInjector(FaultSpec(site, stats.executions + 1,
+                                        DirectionFault()), program)
+        idle.install(cpu)
+        cpu.run(max_steps=MAX_STEPS)
+        assert not idle.fired and idle.count == stats.executions
+        assert any(b.loop for b in cpu.backend.blocks.values())
+        for occurrence in (1, 2, stats.executions // 2, stats.executions):
+            seen = []
+            for backend in BACKEND_NAMES:
+                cpu = _fresh(program, backend)
+                injector = NativeInjector(
+                    FaultSpec(site, occurrence, DirectionFault()), program)
+                injector.install(cpu)
+                stop = cpu.run(max_steps=MAX_STEPS)
+                assert injector.fired, occurrence
+                seen.append((injector.fired_icount, injector.fired_cycles,
+                             _state(cpu, stop)))
+            assert seen[0] == seen[1], occurrence
 
 
 class TestInlineProfiling:
@@ -266,9 +383,7 @@ class TestInlineProfiling:
         cpu, stop, _prof = profile_native(program, backend="block",
                                           max_steps=MAX_STEPS)
         assert stop.reason is StopReason.HALTED
-        backend = cpu.backend
-        assert backend.blocks and not backend.hooked_blocks
-        assert any(b.loop for b in backend.blocks.values())
+        assert any(b.loop for b in cpu.backend.blocks.values())
 
     def _assert_streams_identical(self, program, label) -> dict:
         ref = self._observe(program, "interp")
@@ -307,7 +422,8 @@ class TestInlineProfiling:
             def record(self, pc, instr, taken, flags):
                 self.seen += 1
                 if self.seen == self.at:
-                    self.cpu.pre_branch_hook = (
+                    _arm_everywhere(
+                        self.cpu, program,
                         lambda c, pc, i: self.calls.append(
                             (pc, c.icount, c.cycles)))
 
@@ -344,12 +460,10 @@ class TestInlineProfiling:
             hot.attach(cpu)
             stop = cpu.run(max_steps=MAX_STEPS)
             hot.finish()
-            assert injector.fired and cpu.pre_branch_hook is None
+            assert injector.fired and not cpu.branch_hooks
             observed.append(({pc: tuple(c)
                               for pc, c in hot.samples.items()},
                              _state(cpu, stop)))
-            if backend == "block":
-                assert cpu.backend.hooked_blocks and cpu.backend.blocks
         assert observed[0] == observed[1]
 
 

@@ -165,3 +165,29 @@ class TestDbtInjection:
         assert injector.fired
         assert result.ok
         assert dbt.cpu.output_values == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("backend", ["interp", "block"])
+    @pytest.mark.parametrize("cache_size", [None, 0x140])
+    def test_occurrences_count_native_executions(self, backend,
+                                                 cache_size):
+        """Every translation of a guest branch counts, and only those:
+        a cache flush reuses the flushed sites' addresses for other
+        code, so the injector must disarm them (0x140 bytes of cache
+        flushes twice on this program)."""
+        from repro.exec import install_backend
+        from repro.machine import BranchProfiler, run_native
+        from repro.workloads import load
+        program = load("254.gap", "test")
+        profiler = BranchProfiler()
+        run_native(program, profiler=profiler)
+        assert profiler.branches
+        for pc, stats in sorted(profiler.branches.items()):
+            dbt = Dbt(program, technique=EdgCF(), cache_size=cache_size)
+            install_backend(dbt.cpu, backend)
+            injector = DbtInjector(
+                FaultSpec(pc, stats.executions + 1, DirectionFault()), dbt)
+            injector.install()
+            assert dbt.run().ok
+            assert (dbt.flushes > 0) == (cache_size is not None)
+            assert not injector.fired
+            assert injector.count == stats.executions, hex(pc)
