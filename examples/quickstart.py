@@ -56,7 +56,7 @@ def main() -> None:
                       fault=OffsetBitFault(bit=0))
 
     protected = Dbt(program, technique=EdgCF())
-    DbtInjector(fault, protected).install()
+    DbtInjector(fault, protected).install(protected.cpu)
     result = protected.run()
     print(f"injected:  detected={result.detected_error}  "
           f"stop={result.stop.reason.value}")
@@ -64,7 +64,7 @@ def main() -> None:
 
     # 4. The same fault without protection silently corrupts the run.
     unprotected = Dbt(program)
-    DbtInjector(fault, unprotected).install()
+    DbtInjector(fault, unprotected).install(unprotected.cpu)
     result = unprotected.run()
     print(f"unguarded: detected={result.detected_error}  "
           f"output={unprotected.cpu.output}  (expected {cpu.output})")

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa.program import Program
-from repro.faults import (CacheCampaignResult, CampaignExecutor,
-                          CampaignResult, Category, Outcome,
-                          PipelineConfig, generate_category_faults,
-                          run_cache_campaign)
+from repro.faults import (CampaignExecutor, CampaignResult, Category,
+                          Outcome, PipelineConfig,
+                          generate_category_faults, run_cache_campaign)
 from repro.analysis.report import format_table
 
 #: The default comparison set: the paper's DBT techniques plus the
@@ -35,7 +34,7 @@ class CoverageMatrix:
 
     program_name: str
     results: dict[str, CampaignResult] = field(default_factory=dict)
-    cache_results: dict[str, CacheCampaignResult] = field(
+    cache_results: dict[str, CampaignResult] = field(
         default_factory=dict)
     #: per-config forensics bundle entries (``--forensics`` only)
     forensics: dict[str, list[dict]] = field(default_factory=dict)
@@ -53,12 +52,11 @@ class CoverageMatrix:
         for label, result in self.results.items():
             cells: list[object] = [label]
             for category in categories:
-                bucket = result.outcomes.get(category, {})
-                sdc = bucket.get(Outcome.SDC, 0)
-                hang = bucket.get(Outcome.HANG, 0)
-                cell = ("covered" if (sdc + hang) == 0
-                        else f"MISS({sdc + hang})")
-                infra = bucket.get(Outcome.INFRA_ERROR, 0)
+                missed = result.count(Outcome.SDC, Outcome.HANG,
+                                      category=category)
+                cell = "covered" if missed == 0 else f"MISS({missed})"
+                infra = result.count(Outcome.INFRA_ERROR,
+                                     category=category)
                 if infra:
                     # Harness failures: counted apart from coverage.
                     cell += f" !{infra}infra"

@@ -476,8 +476,7 @@ def cmd_coverage(args) -> int:
                 att = entry["attribution"]
                 print(f"  [{label} #{entry['index']}] "
                       f"{entry['outcome']}: {att['reason']}")
-    infra = sum(result.total_infra()
-                for result in matrix.results.values())
+    infra = sum(result.infra for result in matrix.results.values())
     if infra:
         print(f"warning: {infra} run(s) failed in the harness "
               "(INFRA_ERROR) and are excluded from coverage")

@@ -16,14 +16,11 @@ from repro.faults.injector import (CacheFaultSpec, CacheLevelInjector,
                                    RegisterFaultSpec, SchedFaultSpec,
                                    SchedInjector,
                                    enumerate_cache_branch_sites)
-from repro.faults.sampling import (EffectivenessResult,
-                                   run_effectiveness_campaign,
+from repro.faults.sampling import (run_effectiveness_campaign,
                                    sample_model_faults)
-from repro.faults.campaign import (CacheCampaignResult, CampaignResult,
-                                   CategoryFaults,
-                                   DataFaultCampaignResult, Golden,
-                                   Outcome, Pipeline, PipelineConfig,
-                                   RunRecord,
+from repro.faults.campaign import (CampaignResult, CategoryFaults,
+                                   Golden, Outcome, Pipeline,
+                                   PipelineConfig, RunRecord,
                                    enumerate_instrumentation_branch_sites,
                                    generate_category_faults,
                                    generate_register_faults,
@@ -50,14 +47,14 @@ __all__ = [
     "DirectionFault", "FaultSpec", "FlagBitFault", "NativeInjector",
     "OffsetBitFault", "RedirectFault", "RegisterFaultSpec",
     "SchedFaultSpec", "SchedInjector",
-    "enumerate_cache_branch_sites", "DataFaultCampaignResult",
+    "enumerate_cache_branch_sites",
     "generate_register_faults", "generate_sched_faults",
     "generate_thread_faults", "run_data_fault_campaign",
-    "CacheCampaignResult", "CampaignResult", "CategoryFaults", "Golden",
+    "CampaignResult", "CategoryFaults", "Golden",
     "Outcome", "Pipeline", "PipelineConfig", "RunRecord",
     "enumerate_instrumentation_branch_sites", "generate_category_faults",
     "run_campaign", "run_cache_campaign",
-    "EffectivenessResult", "run_effectiveness_campaign",
+    "run_effectiveness_campaign",
     "sample_model_faults",
     "CampaignExecutor", "MapError", "parallel_map", "resolve_jobs",
     "CampaignJournal", "spec_digest", "infra_error_record",

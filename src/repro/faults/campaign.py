@@ -32,6 +32,15 @@ RECOVERY_FAILED     (``recover=True``) recovery was attempted but the
                     run still ended detected/hanging/wrong: retry
                     budget exhausted, or re-execution went bad anyway
 ==================  =====================================================
+
+Every run takes one path, :meth:`Pipeline.execute`: the per-pipeline
+part makes the machine (a :class:`Run` with its CPU, step function,
+detection predicate and optional DBT session or threaded machine),
+then one skeleton attaches the fault, binds the probe and steps —
+under the :class:`~repro.recovery.RecoveryManager` when recovery is on
+and there is a fault.  :meth:`Pipeline.run` classifies the result.
+Detection latency is set only on runs without recovery; a recovered
+run reports its attempts and rollback distance instead.
 """
 
 from __future__ import annotations
@@ -39,21 +48,26 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro import obs
 from repro.isa.program import Program
 from repro.machine import Cpu, StopReason
-from repro.machine.faults import FaultKind
+from repro.machine.faults import FaultKind, StopInfo
 from repro.cfg import build_cfg
 from repro.checking import Policy, UpdateStyle, make_technique
 from repro.dbt import Dbt
+from repro.dbt.translator import DF_ERROR_TRAP, ERROR_TRAP
 from repro.instrument import InstrumentedProgram, StaticRewriter
 from repro.machine.profile import BranchProfiler
 from repro.faults.classify import Category
 from repro.faults import cache as run_cache
 from repro.faults.injector import (CacheFaultSpec, CacheLevelInjector,
                                    DbtInjector, DirectionFault, FaultSpec,
-                                   NativeInjector, RedirectFault)
+                                   NativeInjector, RedirectFault,
+                                   RegisterFaultSpec, SchedFaultSpec,
+                                   SchedInjector,
+                                   enumerate_cache_branch_sites)
 
 
 class Outcome(enum.Enum):
@@ -169,17 +183,83 @@ class PipelineConfig:
         return label
 
 
+@dataclass
+class Run:
+    """One run as :meth:`Pipeline.execute` built and stepped it: the
+    pipeline's machine (``step(n)`` runs up to ``n`` instructions,
+    ``detected(stop)`` tells whether the technique reported an error),
+    then the fault's injector, the final stop and the recovery report.
+    """
+
+    cpu: Cpu
+    step: Callable[[int], StopInfo]
+    detected: Callable[[StopInfo], bool]
+    dbt: Dbt | None = None
+    machine: object = None
+    injector: object = None
+    stop: StopInfo | None = None
+    report: object = None
+
+
+def _never_detected(stop: StopInfo) -> bool:
+    # A native run is never signature-detected: nothing checks it.
+    return False
+
+
+def _dbt_detected(stop: StopInfo) -> bool:
+    # A DBT run is detected when a signature check (or, with duplication
+    # on, a data-flow check) trapped to the error handler.
+    return (stop.reason is StopReason.TRAP
+            and stop.trap_no in (ERROR_TRAP, DF_ERROR_TRAP))
+
+
 class Pipeline:
     """Runs a program (optionally fault-injected) per a configuration."""
 
     def __init__(self, program: Program, config: PipelineConfig,
                  technique_factory=None):
+        self._prepare(program, config, technique_factory)
+        if technique_factory is not None:
+            # Custom techniques must not seed (or read) the shared
+            # golden-run cache keyed only on (program, config).
+            self.golden = self._golden_run()
+            return
+        # Golden runs are deterministic per (program image, config), so
+        # identical pipelines share one cached reference execution.
+        digest = run_cache.program_digest(program)
+        key = run_cache.config_key(config)
+        golden = run_cache.get_golden(digest, key)
+        obs.counter("campaign_golden_cache_total",
+                    help="golden-run cache lookups",
+                    result="miss" if golden is None else "hit").inc()
+        if golden is None:
+            golden = self._golden_run()
+            run_cache.put_golden(digest, key, golden)
+        self.golden = golden
+
+    @classmethod
+    def without_golden(cls, program: Program, config: PipelineConfig,
+                       technique_factory=None) -> Pipeline:
+        """A pipeline that never runs (or looks up) a golden run.
+
+        For callers that only :meth:`execute`, like the fuzz oracle: a
+        broken technique's false positive must come back as a divergent
+        run, not as a golden-run error raised at construction.
+        """
+        pipe = cls.__new__(cls)
+        pipe._prepare(program, config, technique_factory)
+        return pipe
+
+    def _prepare(self, program: Program, config: PipelineConfig,
+                 technique_factory) -> None:
         self.program = program
         self.config = config
         #: optional override producing the checking technique instance;
         #: lets the fuzzing oracle run deliberately-broken techniques
         #: (e.g. one skipped GEN_SIG update) through the stock pipeline.
         self.technique_factory = technique_factory
+        #: reference run; None while the golden run itself executes
+        self.golden: Golden | None = None
         if config.threads and config.pipeline == "dbt":
             raise ValueError(
                 "the multithreaded machine requires the native or "
@@ -196,27 +276,6 @@ class Pipeline:
                 technique, config.policy).rewrite(program)
             if config.threads:
                 self._prepare_mt(technique)
-        if technique_factory is not None:
-            # Custom techniques must not seed (or read) the shared
-            # golden-run cache keyed only on (program, config).
-            self.golden = self._golden_run()
-            return
-        # Golden runs are deterministic per (program image, config), so
-        # identical pipelines share one cached reference execution.
-        digest = run_cache.program_digest(program)
-        key = run_cache.config_key(config)
-        golden = run_cache.get_golden(digest, key)
-        if golden is None:
-            obs.counter("campaign_golden_cache_total",
-                        help="golden-run cache lookups",
-                        result="miss").inc()
-            golden = self._golden_run()
-            run_cache.put_golden(digest, key, golden)
-        else:
-            obs.counter("campaign_golden_cache_total",
-                        help="golden-run cache lookups",
-                        result="hit").inc()
-        self.golden = golden
 
     def _make_technique(self, cfg=None):
         config = self.config
@@ -224,12 +283,8 @@ class Pipeline:
             return None
         if self.technique_factory is not None:
             return self.technique_factory(config, cfg)
-        if cfg is not None:
-            return make_technique(config.technique,
-                                  update_style=config.update_style,
-                                  cfg=cfg)
         return make_technique(config.technique,
-                              update_style=config.update_style)
+                              update_style=config.update_style, cfg=cfg)
 
     # -- execution -----------------------------------------------------------
 
@@ -262,8 +317,8 @@ class Pipeline:
         registry.counter("campaign_runs_total",
                          help="pipeline runs by classified outcome",
                          outcome=record.outcome.value).inc()
+        policy = self.config.policy.value
         if record.detection_latency is not None:
-            policy = self.config.policy.value
             registry.histogram(
                 "campaign_detection_latency_instructions",
                 help="instructions from fault application to detection",
@@ -275,7 +330,6 @@ class Pipeline:
                     policy=policy).observe(
                         record.detection_latency_cycles)
         if record.outcome in (Outcome.RECOVERED, Outcome.RECOVERY_FAILED):
-            policy = self.config.policy.value
             registry.counter(
                 "campaign_recovery_total",
                 help="recovery-triggering runs by final result",
@@ -305,15 +359,79 @@ class Pipeline:
             return fault.chaos_run(self)
         if max_steps is None:
             max_steps = self.golden.step_budget
+        run = self.execute(fault, max_steps, probe)
+        detected = run.detected(run.stop)
+        record = self._finish(run.cpu, run.stop, detected)
+        if run.report is not None:
+            # Detection latency is set only on runs without recovery:
+            # a recovered run reports its attempts and rollback
+            # distance instead (the static-recover benchmark digest
+            # hashes detection_latency=None).
+            return self._apply_recovery(record, run.report)
+        injector = run.injector
+        if (detected and injector is not None
+                and injector.fired_icount is not None):
+            record.detection_latency = run.cpu.icount - injector.fired_icount
+            if injector.fired_cycles is not None:
+                record.detection_latency_cycles = (
+                    run.cpu.cycles - injector.fired_cycles)
+        return record
+
+    def execute(self, fault: FaultSpec | CacheFaultSpec | None,
+                max_steps: int, probe=None) -> Run:
+        """Build, arm and step one run; returns it unclassified.
+
+        The one run path: build the machine, attach the fault, bind the
+        probe, then step it — under the :class:`RecoveryManager` when
+        recovery is on and there is a fault.  :meth:`run` classifies
+        the result; the fuzz oracle digests the machine state instead.
+        """
+        run = self._build()
+        run.injector = self._attach_fault(run, fault)
+        if probe is not None:
+            probe.bind(run.cpu, injector=run.injector, dbt=run.dbt,
+                       instrumented=self._instrumented)
+            probe.machine = run.machine
+        if self.config.recover and fault is not None:
+            manager = self._recovery_manager(run, fault, max_steps)
+            run.stop = manager.execute()
+            run.report = manager.report
+            if probe is not None:
+                probe.recovery = manager.report
+        else:
+            run.stop = run.step(max_steps)
+        return run
+
+    def _build(self) -> Run:
+        """The per-pipeline part of a run: machine, step and detector."""
         config = self.config
         if config.pipeline == "dbt":
-            return self._run_dbt(fault, max_steps, probe)
-        if config.pipeline == "static" and self._instrumented is not None:
-            return self._run_static(fault, max_steps, probe)
-        return self._run_native(fault, max_steps, probe)
+            dbt = Dbt(self.program, technique=self._make_technique(),
+                      policy=config.policy, dataflow=config.dataflow)
+            self._install_backend(dbt.cpu)
+            return Run(dbt.cpu, step=lambda n: dbt.run(max_steps=n).stop,
+                       detected=_dbt_detected, dbt=dbt)
+        ip = self._instrumented
+        cpu = Cpu()
+        self._install_backend(cpu)
+        cpu.load_program(self.program if ip is None else ip.program)
+        machine = self._make_machine(cpu) if config.threads else None
+        stepper = cpu if machine is None else machine
+        detected = _never_detected
+        if ip is not None:
+            def detected(stop: StopInfo) -> bool:
+                # A static run is detected when the technique's error
+                # handler ran (CFC_ERROR), or when it trapped on
+                # DIV_BY_ZERO at a check address (ECCA's assertion).
+                return cpu.cfc_error or (
+                    stop.reason is StopReason.FAULT
+                    and stop.fault is FaultKind.DIV_BY_ZERO
+                    and stop.pc in ip.check_addresses)
+        return Run(cpu, step=lambda n: stepper.run(max_steps=n),
+                   detected=detected, machine=machine)
 
     def _finish(self, cpu: Cpu, stop, detected: bool) -> RunRecord:
-        golden = getattr(self, "golden", None)
+        golden = self.golden
         outputs = (tuple(cpu.output), tuple(cpu.output_values))
         if detected:
             outcome = Outcome.DETECTED_SIGNATURE
@@ -382,11 +500,12 @@ class Pipeline:
 
     # -- checkpoint/rollback recovery (repro.recovery) -----------------------
 
-    def _recovery_manager(self, cpu, fault, injector, max_steps, step,
-                          classify, epoch=None, entry_restart=None,
-                          reinstall=None, machine=None):
+    def _recovery_manager(self, run: Run, fault, max_steps: int):
         from repro.recovery import RecoveryManager
         config = self.config
+        step = run.step
+        epoch = entry_restart = None
+        machine = run.machine
         extra_capture = extra_restore = None
         if machine is not None:
             # Checkpoints must capture every thread, not just the one
@@ -394,8 +513,53 @@ class Pipeline:
             # its RNG, mutexes, the quantum in flight.
             extra_capture = machine.snapshot_sched_state
             extra_restore = machine.restore_sched_state
+        dbt = run.dbt
+        if dbt is not None:
+            # The entry stub is primed eagerly so the entry checkpoint's
+            # PC already points into the translation cache; checkpoints
+            # record the DBT's flush epoch, and an entry restart after a
+            # flush re-primes translation from scratch (stale-
+            # translation hazard: the DBT's raw-write watcher
+            # deliberately ignores cache writes, so a rollback that
+            # rewrites SMC-dirtied guest pages relies on the epoch
+            # guard, not on write monitoring).
+            if dbt._entry_stub is None:
+                dbt._entry_stub = dbt._emit_entry_stub()
+                dbt.cpu.pc = dbt._entry_stub
+
+            def entry_restart():
+                dbt._flush_translations()
+                dbt._entry_stub = dbt._emit_entry_stub()
+                dbt.cpu.pc = dbt._entry_stub
+
+            epoch = lambda: dbt.flushes                    # noqa: E731
+            # Segments step the DBT loop itself: no dbt.run span per
+            # checkpoint interval.
+            step = lambda n: dbt._run(n, None).stop       # noqa: E731
+
+        def classify(stop):
+            if machine is not None and machine.deadlocked:
+                # A starved machine returns STEP_LIMIT *without
+                # consuming budget*, so treating it as "limit" would
+                # spin the watchdog forever.  A deadlock is final for
+                # this schedule: roll back immediately.
+                machine.deadlocked = False
+                return "detected"
+            # A detection or a hardware fault rolls back; step/cycle
+            # limits feed the watchdog.
+            if run.detected(stop) or stop.reason is StopReason.FAULT:
+                return "detected"
+            if stop.reason in (StopReason.STEP_LIMIT,
+                               StopReason.CYCLE_LIMIT):
+                return "limit"
+            return "done"
+
+        injector = run.injector
+        reinstall = None
+        if hasattr(injector, "install"):
+            reinstall = lambda: injector.install(run.cpu)  # noqa: E731
         return RecoveryManager(
-            cpu, step=step, classify=classify, budget=max_steps,
+            run.cpu, step=step, classify=classify, budget=max_steps,
             interval=config.checkpoint_interval,
             max_retries=config.max_retries,
             injector=injector, reinstall=reinstall,
@@ -403,8 +567,7 @@ class Pipeline:
             epoch=epoch, entry_restart=entry_restart,
             extra_capture=extra_capture, extra_restore=extra_restore)
 
-    def _apply_recovery(self, record: RunRecord, report,
-                        probe=None) -> RunRecord:
+    def _apply_recovery(self, record: RunRecord, report) -> RunRecord:
         """Fold a RecoveryReport into the run's record and outcome.
 
         A run whose detections (or watchdog trips) were all absorbed by
@@ -414,8 +577,6 @@ class Pipeline:
         out, or re-execution still produced wrong output.  Runs where
         recovery never triggered keep their ordinary outcome.
         """
-        if probe is not None:
-            probe.recovery = report
         record.attempts = report.attempts
         if report.triggers == 0:
             return record
@@ -426,216 +587,38 @@ class Pipeline:
                           else Outcome.RECOVERY_FAILED)
         return record
 
-    def _attach_fault(self, cpu: Cpu, machine, fault):
+    def _attach_fault(self, run: Run, fault):
         """Bind one fault spec to the run; returns the injector-ish
         object holding fired/occurrence state (or None)."""
-        from repro.faults.injector import (RegisterFaultSpec,
-                                           SchedFaultSpec, SchedInjector)
+        if fault is None:
+            return None
         if isinstance(fault, SchedFaultSpec):
-            if machine is None:
+            if run.machine is None:
                 raise ValueError(
                     "scheduler-state faults require threads=True")
             injector = SchedInjector(fault)
-            machine.sched_fault = injector
+            run.machine.sched_fault = injector
             return injector
         if isinstance(fault, RegisterFaultSpec):
-            fault.install(cpu)
+            fault.install(run.cpu)
             return None
-        if fault is None:
-            return None
-        if self._instrumented is not None:
+        if run.dbt is not None:
+            injector_cls = (CacheLevelInjector
+                            if isinstance(fault, CacheFaultSpec)
+                            else DbtInjector)
+            injector = injector_cls(fault, run.dbt)
+        elif self._instrumented is not None:
             ip = self._instrumented
             injector = NativeInjector(
                 fault, ip.program,
                 site_map=lambda pc: ip.instr_map.get(pc, -1),
-                landing_map=self._static_landing,
+                landing_map=lambda addr: ip.block_map.get(
+                    addr, ip.instr_map.get(addr)),
                 noncode_target=ip.program.data_base + 0x40)
         else:
             injector = NativeInjector(fault, self.program)
-        injector.install(cpu)
+        injector.install(run.cpu)
         return injector
-
-    def _mt_classify(self, machine, classify):
-        """Wrap a recovery classifier with the deadlock rule: a starved
-        machine returns STEP_LIMIT *without consuming budget*, so
-        treating it as "limit" would spin the watchdog forever.  A
-        deadlock is final for this schedule — roll back immediately."""
-        if machine is None:
-            return classify
-
-        def classify_mt(stop):
-            if machine.deadlocked:
-                machine.deadlocked = False
-                return "detected"
-            return classify(stop)
-        return classify_mt
-
-    def _run_native(self, fault, max_steps, probe=None) -> RunRecord:
-        cpu = Cpu()
-        self._install_backend(cpu)
-        cpu.load_program(self.program)
-        machine = self._make_machine(cpu) if self.config.threads else None
-        injector = self._attach_fault(cpu, machine, fault)
-        if probe is not None:
-            probe.bind(cpu, injector=injector)
-            probe.machine = machine
-        if machine is None:
-            step = lambda n: cpu.run(max_steps=n)          # noqa: E731
-        else:
-            step = lambda n: machine.run(max_steps=n)      # noqa: E731
-        if self.config.recover and fault is not None:
-            def classify(stop):
-                if stop.reason is StopReason.FAULT:
-                    return "detected"
-                if stop.reason in (StopReason.STEP_LIMIT,
-                                   StopReason.CYCLE_LIMIT):
-                    return "limit"
-                return "done"
-
-            reinstall = None
-            if injector is not None and hasattr(injector, "install"):
-                reinstall = lambda: injector.install(cpu)  # noqa: E731
-            manager = self._recovery_manager(
-                cpu, fault, injector, max_steps,
-                step=step, classify=self._mt_classify(machine, classify),
-                reinstall=reinstall, machine=machine)
-            stop = manager.execute()
-            record = self._finish(cpu, stop, detected=False)
-            return self._apply_recovery(record, manager.report, probe)
-        stop = step(max_steps)
-        return self._finish(cpu, stop, detected=False)
-
-    def _run_static(self, fault, max_steps, probe=None) -> RunRecord:
-        ip = self._instrumented
-        cpu = Cpu()
-        self._install_backend(cpu)
-        cpu.load_program(ip.program)
-        machine = self._make_machine(cpu) if self.config.threads else None
-        injector = self._attach_fault(cpu, machine, fault)
-        if probe is not None:
-            probe.bind(cpu, injector=injector, instrumented=ip)
-            probe.machine = machine
-        if machine is None:
-            step = lambda n: cpu.run(max_steps=n)          # noqa: E731
-        else:
-            step = lambda n: machine.run(max_steps=n)      # noqa: E731
-        report = None
-        if self.config.recover and fault is not None:
-            def classify(stop):
-                if stop.reason is StopReason.FAULT:
-                    return "detected"
-                if stop.reason in (StopReason.STEP_LIMIT,
-                                   StopReason.CYCLE_LIMIT):
-                    return "limit"
-                return "detected" if cpu.cfc_error else "done"
-
-            reinstall = None
-            if injector is not None and hasattr(injector, "install"):
-                reinstall = lambda: injector.install(cpu)  # noqa: E731
-            manager = self._recovery_manager(
-                cpu, fault, injector, max_steps,
-                step=step, classify=self._mt_classify(machine, classify),
-                reinstall=reinstall, machine=machine)
-            stop = manager.execute()
-            report = manager.report
-        else:
-            stop = step(max_steps)
-        detected = cpu.cfc_error or (
-            stop.reason is StopReason.FAULT
-            and stop.fault is FaultKind.DIV_BY_ZERO
-            and stop.pc in ip.check_addresses)
-        record = self._finish(cpu, stop, detected)
-        if report is not None:
-            return self._apply_recovery(record, report, probe)
-        if (detected and injector is not None
-                and injector.fired_icount is not None):
-            record.detection_latency = cpu.icount - injector.fired_icount
-            if injector.fired_cycles is not None:
-                record.detection_latency_cycles = (
-                    cpu.cycles - injector.fired_cycles)
-        return record
-
-    def _static_landing(self, guest_addr: int) -> int | None:
-        ip = self._instrumented
-        if guest_addr in ip.block_map:
-            return ip.block_map[guest_addr]
-        return ip.instr_map.get(guest_addr)
-
-    def _run_dbt(self, fault, max_steps, probe=None) -> RunRecord:
-        from repro.faults.injector import RegisterFaultSpec
-        config = self.config
-        technique = self._make_technique()
-        dbt = Dbt(self.program, technique=technique, policy=config.policy,
-                  dataflow=config.dataflow)
-        self._install_backend(dbt.cpu)
-        injector = None
-        if isinstance(fault, CacheFaultSpec):
-            injector = CacheLevelInjector(fault, dbt)
-            injector.install()
-        elif isinstance(fault, RegisterFaultSpec):
-            fault.install(dbt.cpu)
-        elif fault is not None:
-            injector = DbtInjector(fault, dbt)
-            injector.install()
-        if probe is not None:
-            probe.bind(dbt.cpu, injector=injector, dbt=dbt)
-        if config.recover and fault is not None:
-            return self._run_dbt_recovered(dbt, fault, injector,
-                                           max_steps, probe)
-        result = dbt.run(max_steps=max_steps)
-        detected = result.detected_error or result.detected_dataflow
-        record = self._finish(dbt.cpu, result.stop, detected)
-        if (detected and injector is not None
-                and injector.fired_icount is not None):
-            record.detection_latency = (dbt.cpu.icount
-                                        - injector.fired_icount)
-            if injector.fired_cycles is not None:
-                record.detection_latency_cycles = (
-                    dbt.cpu.cycles - injector.fired_cycles)
-        return record
-
-    def _run_dbt_recovered(self, dbt, fault, injector, max_steps,
-                           probe) -> RunRecord:
-        """DBT run under the recovery manager.
-
-        The entry stub is primed eagerly so the entry checkpoint's PC
-        already points into the translation cache; checkpoints record
-        the DBT's flush epoch, and an entry restart after a flush
-        re-primes translation from scratch (stale-translation hazard:
-        the DBT's raw-write watcher deliberately ignores cache writes,
-        so a rollback that rewrites SMC-dirtied guest pages relies on
-        the epoch guard, not on write monitoring).
-        """
-        if dbt._entry_stub is None:
-            dbt._entry_stub = dbt._emit_entry_stub()
-            dbt.cpu.pc = dbt._entry_stub
-
-        def entry_restart():
-            dbt._flush_translations()
-            dbt._entry_stub = dbt._emit_entry_stub()
-            dbt.cpu.pc = dbt._entry_stub
-
-        def classify(result):
-            if result.detected_error or result.detected_dataflow:
-                return "detected"
-            reason = result.stop.reason
-            if reason is StopReason.FAULT:
-                return "detected"
-            if reason in (StopReason.STEP_LIMIT, StopReason.CYCLE_LIMIT):
-                return "limit"
-            return "done"
-
-        reinstall = injector.install if injector is not None else None
-
-        manager = self._recovery_manager(
-            dbt.cpu, fault, injector, max_steps,
-            step=lambda n: dbt._run(n, None), classify=classify,
-            epoch=lambda: dbt.flushes, entry_restart=entry_restart,
-            reinstall=reinstall)
-        result = manager.execute()
-        detected = result.detected_error or result.detected_dataflow
-        record = self._finish(dbt.cpu, result.stop, detected)
-        return self._apply_recovery(record, manager.report, probe)
 
 
 # -- campaign fault generation ---------------------------------------------------
@@ -643,9 +626,10 @@ class Pipeline:
 
 @dataclass
 class CategoryFaults:
-    """Fault specs bucketed by intended branch-error category."""
+    """Fault specs bucketed by intended branch-error category (one
+    ``None`` bucket for data-fault and cache-level campaigns)."""
 
-    by_category: dict[Category, list[FaultSpec]] = field(
+    by_category: dict[Category | None, list] = field(
         default_factory=dict)
 
     def total(self) -> int:
@@ -846,7 +830,6 @@ def generate_sched_faults(count: int = 12, seed: int = 2006,
     ready queue.  The stream is seeded through ``derive_seed`` so it is
     independent of every other sampling stream in the campaign.
     """
-    from repro.faults.injector import SchedFaultSpec
     from repro.faults.sampling import derive_seed
     rng = random.Random(derive_seed(seed, "sched"))
     specs = []
@@ -864,57 +847,84 @@ def generate_sched_faults(count: int = 12, seed: int = 2006,
     return specs
 
 
+#: Outcomes that count as a detection.  A recovery run (successful or
+#: not) started with one, so it counts towards coverage either way.
+DETECTED_OUTCOMES = (Outcome.DETECTED_SIGNATURE, Outcome.DETECTED_HARDWARE,
+                     Outcome.RECOVERED, Outcome.RECOVERY_FAILED)
+
+
 @dataclass
 class CampaignResult:
-    """Outcome tallies for one (config, category) campaign."""
+    """Outcome tallies for one configuration's campaign.
+
+    Branch-error campaigns bucket runs by intended category; data-fault
+    and cache-level campaigns put every run in the ``None`` bucket.
+    """
 
     config_label: str
-    outcomes: dict[Category, dict[Outcome, int]] = field(
+    outcomes: dict[Category | None, dict[Outcome, int]] = field(
         default_factory=dict)
+    #: cache-level campaigns: inserted branch sites sampled
+    sites_tested: int = 0
 
-    def record(self, category: Category, outcome: Outcome) -> None:
+    def record(self, category: Category | None, outcome: Outcome) -> None:
         bucket = self.outcomes.setdefault(
             category, {out: 0 for out in Outcome})
         bucket[outcome] += 1
+
+    def count(self, *outcomes: Outcome,
+              category: Category | None = None) -> int:
+        """Runs ending in any of ``outcomes``: in one category's bucket,
+        or across every bucket when no category is given."""
+        buckets = (self.outcomes.values() if category is None
+                   else [self.outcomes.get(category, {})])
+        return sum(bucket.get(outcome, 0)
+                   for bucket in buckets for outcome in outcomes)
+
+    @property
+    def detected(self) -> int:
+        return self.count(*DETECTED_OUTCOMES)
+
+    @property
+    def sdc(self) -> int:
+        return self.count(Outcome.SDC)
+
+    @property
+    def undetected(self) -> int:
+        """Harmful runs nothing reported: silent corruption or hangs."""
+        return self.count(Outcome.SDC, Outcome.HANG)
+
+    @property
+    def infra(self) -> int:
+        """Quarantined harness failures (see :data:`Outcome`)."""
+        return self.count(Outcome.INFRA_ERROR)
+
+    def total(self) -> int:
+        return self.count(*Outcome)
+
+    def rate(self, *outcomes: Outcome) -> float:
+        """Share of all runs that ended in any of ``outcomes``."""
+        total = self.total()
+        return self.count(*outcomes) / total if total else 0.0
 
     def detection_rate(self, category: Category) -> float:
         """Detected / (all non-benign *guest* outcomes) for a category.
 
         ``INFRA_ERROR`` runs are harness failures, not guest outcomes:
         they are excluded from the harmful denominator and reported
-        separately (:meth:`infra_count`).
+        separately (:attr:`infra`).
         """
-        bucket = self.outcomes.get(category)
-        if not bucket:
+        if category not in self.outcomes:
             return 0.0
-        detected = (bucket[Outcome.DETECTED_SIGNATURE]
-                    + bucket[Outcome.DETECTED_HARDWARE]
-                    # A recovery run (successful or not) started with a
-                    # detection: it counts towards coverage either way.
-                    + bucket.get(Outcome.RECOVERED, 0)
-                    + bucket.get(Outcome.RECOVERY_FAILED, 0))
-        harmful = detected + bucket[Outcome.SDC] + bucket[Outcome.HANG]
+        detected = self.count(*DETECTED_OUTCOMES, category=category)
+        harmful = detected + self.count(Outcome.SDC, Outcome.HANG,
+                                        category=category)
         return detected / harmful if harmful else 1.0
 
     def covers(self, category: Category) -> bool:
         """No silent corruption and no unreported hang in the bucket."""
-        bucket = self.outcomes.get(category)
-        if not bucket:
-            return True
-        return bucket[Outcome.SDC] == 0 and bucket[Outcome.HANG] == 0
-
-    def sdc_count(self, category: Category) -> int:
-        bucket = self.outcomes.get(category)
-        return bucket[Outcome.SDC] if bucket else 0
-
-    def infra_count(self, category: Category) -> int:
-        """Quarantined harness failures in the category's bucket."""
-        bucket = self.outcomes.get(category)
-        return bucket[Outcome.INFRA_ERROR] if bucket else 0
-
-    def total_infra(self) -> int:
-        return sum(bucket[Outcome.INFRA_ERROR]
-                   for bucket in self.outcomes.values())
+        return self.count(Outcome.SDC, Outcome.HANG,
+                          category=category) == 0
 
 
 def run_campaign(program: Program, config: PipelineConfig,
@@ -941,35 +951,6 @@ def run_campaign(program: Program, config: PipelineConfig,
 # -- data-fault campaigns (the future-work extension) --------------------------
 
 
-@dataclass
-class DataFaultCampaignResult:
-    """Outcomes of random register-bit faults under one configuration."""
-
-    config_label: str
-    outcomes: dict[Outcome, int] = field(default_factory=dict)
-
-    def record(self, outcome: Outcome) -> None:
-        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-
-    @property
-    def sdc(self) -> int:
-        return self.outcomes.get(Outcome.SDC, 0)
-
-    @property
-    def detected(self) -> int:
-        return (self.outcomes.get(Outcome.DETECTED_SIGNATURE, 0)
-                + self.outcomes.get(Outcome.DETECTED_HARDWARE, 0)
-                + self.outcomes.get(Outcome.RECOVERED, 0)
-                + self.outcomes.get(Outcome.RECOVERY_FAILED, 0))
-
-    @property
-    def infra(self) -> int:
-        return self.outcomes.get(Outcome.INFRA_ERROR, 0)
-
-    def total(self) -> int:
-        return sum(self.outcomes.values())
-
-
 def generate_register_faults(pipeline: Pipeline, count: int = 50,
                              seed: int = 2006) -> list:
     """Random register-bit strikes across the run's dynamic length.
@@ -978,7 +959,6 @@ def generate_register_faults(pipeline: Pipeline, count: int = 50,
     bit) — the paper's temporal soft-error model applied to data state
     instead of branch state.
     """
-    from repro.faults.injector import RegisterFaultSpec
     rng = random.Random(seed)
     horizon = max(pipeline.golden.icount - 2, 1)
     faults = []
@@ -997,7 +977,7 @@ def run_data_fault_campaign(program: Program, config: PipelineConfig,
                             timeout: float | None = None,
                             journal: str | None = None,
                             resume: bool = False
-                            ) -> DataFaultCampaignResult:
+                            ) -> CampaignResult:
     """Inject random register faults under one configuration."""
     from repro.faults.executor import CampaignExecutor
     # The fault generator needs the golden run's dynamic length; hand
@@ -1009,39 +989,10 @@ def run_data_fault_campaign(program: Program, config: PipelineConfig,
                                 retries=retries, timeout=timeout,
                                 journal=journal, resume=resume,
                                 pipeline=pipeline)
-    result = DataFaultCampaignResult(config_label=config.label())
-    for record in executor.run_specs(faults):
-        result.record(record.outcome)
-    return result
+    return executor.run_campaign(CategoryFaults({None: faults}))
 
 
 # -- cache-level campaigns (the Figure-14 safety experiment) -------------------
-
-
-@dataclass
-class CacheCampaignResult:
-    """Outcomes of offset-bit faults on *inserted* branch instructions
-    (signature checks and Jcc-style updates) in translated code.
-
-    This measures the unsafety the paper shades in Figure 14: ECF and
-    EdgCF leave their inserted Jcc branches unprotected; RCF's regions
-    cover them."""
-
-    config_label: str
-    outcomes: dict[Outcome, int] = field(default_factory=dict)
-    sites_tested: int = 0
-
-    def record(self, outcome: Outcome) -> None:
-        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-
-    @property
-    def sdc(self) -> int:
-        return self.outcomes.get(Outcome.SDC, 0)
-
-    @property
-    def undetected(self) -> int:
-        return (self.outcomes.get(Outcome.SDC, 0)
-                + self.outcomes.get(Outcome.HANG, 0))
 
 
 def enumerate_instrumentation_branch_sites(program: Program,
@@ -1053,14 +1004,11 @@ def enumerate_instrumentation_branch_sites(program: Program,
     addresses remain valid across the fresh DBT instances the campaign
     runs use.
     """
-    from repro.faults.injector import enumerate_cache_branch_sites
-    technique = (make_technique(config.technique,
-                                update_style=config.update_style)
-                 if config.technique else None)
-    dbt = Dbt(program, technique=technique, policy=config.policy)
-    result = dbt.run()
-    if not result.ok:
-        raise RuntimeError(f"warm run failed: {result.stop}")
+    run = Pipeline.without_golden(program, config).execute(None,
+                                                           50_000_000)
+    if run.stop.reason is not StopReason.HALTED or run.detected(run.stop):
+        raise RuntimeError(f"warm run failed: {run.stop}")
+    dbt = run.dbt
     blocks = list(dbt.blocks.values())
     sites = []
     for addr, instr in enumerate_cache_branch_sites(dbt):
@@ -1081,8 +1029,12 @@ def run_cache_campaign(program: Program, config: PipelineConfig,
                        timeout: float | None = None,
                        journal: str | None = None,
                        resume: bool = False,
-                       stop_check=None) -> CacheCampaignResult:
+                       stop_check=None) -> CampaignResult:
     """Flip offset bits of inserted branches, one fault per run.
+
+    This measures the unsafety the paper shades in Figure 14: ECF and
+    EdgCF leave their inserted Jcc branches unprotected; RCF's regions
+    cover them.
 
     With ``force_taken`` (default) each fault is the paper's "branch to
     a random address" event at the inserted branch — the corrupted
@@ -1101,8 +1053,6 @@ def run_cache_campaign(program: Program, config: PipelineConfig,
                                 retries=retries, timeout=timeout,
                                 journal=journal, resume=resume,
                                 stop_check=stop_check)
-    result = CacheCampaignResult(config_label=config.label())
+    result = executor.run_campaign(CategoryFaults({None: specs}))
     result.sites_tested = len(sites)
-    for record in executor.run_specs(specs):
-        result.record(record.outcome)
     return result

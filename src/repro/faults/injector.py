@@ -269,9 +269,9 @@ class DbtInjector(_HookBase):
         dbt.inject_redirect = self._redirect
         dbt.translation_listener = self._on_translation
 
-    def install(self) -> None:
-        """(Re-)arm every current translation of the branch."""
-        cpu = self.dbt.cpu
+    def install(self, cpu: Cpu) -> None:
+        """(Re-)arm every current translation of the branch on ``cpu``
+        (the DBT's own CPU)."""
         self._retire(cpu)
         self.sites.clear()
         for translations in (self.dbt.blocks, self.dbt._suffixes):
@@ -497,8 +497,9 @@ class CacheLevelInjector:
         self.fired_icount: int | None = None
         self.fired_cycles: int | None = None
 
-    def install(self) -> None:
-        self.dbt.cpu.branch_hooks[self.spec.cache_addr] = self.hook
+    def install(self, cpu: Cpu) -> None:
+        """Arm the cache site on ``cpu`` (the DBT's own CPU)."""
+        cpu.branch_hooks[self.spec.cache_addr] = self.hook
 
     def hook(self, cpu: Cpu, pc: int, instr: Instruction
              ) -> Instruction | None:

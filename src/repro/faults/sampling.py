@@ -16,45 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
 
 from repro.isa.encoding import BRANCH_OFFSET_BITS
 from repro.isa.flags import NUM_FLAG_BITS
 from repro.isa.program import Program
 from repro.machine import BranchProfiler, StopReason, run_native
-from repro.faults.campaign import (Outcome, Pipeline, PipelineConfig)
+from repro.faults.campaign import CampaignResult, Pipeline, PipelineConfig
 from repro.faults.injector import FaultSpec, FlagBitFault, OffsetBitFault
-
-
-@dataclass
-class EffectivenessResult:
-    """Outcome rates of one random-sampling campaign."""
-
-    config_label: str
-    outcomes: dict[Outcome, int] = field(default_factory=dict)
-
-    def record(self, outcome: Outcome) -> None:
-        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-
-    def total(self) -> int:
-        return sum(self.outcomes.values())
-
-    def rate(self, outcome: Outcome) -> float:
-        total = self.total()
-        return self.outcomes.get(outcome, 0) / total if total else 0.0
-
-    @property
-    def sdc_rate(self) -> float:
-        return self.rate(Outcome.SDC)
-
-    @property
-    def detected_rate(self) -> float:
-        return (self.rate(Outcome.DETECTED_SIGNATURE)
-                + self.rate(Outcome.DETECTED_HARDWARE))
-
-    @property
-    def unreported_harm_rate(self) -> float:
-        return self.rate(Outcome.SDC) + self.rate(Outcome.HANG)
 
 
 def derive_seed(seed: int, *context) -> int:
@@ -106,12 +74,11 @@ def sample_model_faults(program: Program, count: int, seed: int = 2006,
 
 def run_effectiveness_campaign(program: Program, config: PipelineConfig,
                                count: int = 100, seed: int = 2006
-                               ) -> EffectivenessResult:
+                               ) -> CampaignResult:
     """Inject ``count`` model-sampled faults under one configuration."""
     specs = sample_model_faults(program, count, seed=seed)
     pipeline = Pipeline(program, config)
-    result = EffectivenessResult(config_label=config.label())
+    result = CampaignResult(config_label=config.label())
     for spec in specs:
-        record = pipeline.run(spec)
-        result.record(record.outcome)
+        result.record(None, pipeline.run(spec).outcome)
     return result

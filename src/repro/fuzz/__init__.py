@@ -17,7 +17,7 @@ from repro.fuzz.generator import (FuzzKnobs, ProgramGenerator,
                                   generate_program, generate_source)
 from repro.fuzz.minimizer import MinimizeResult, minimize_source
 from repro.fuzz.oracle import (DetectionEscape, OracleReport, RunDigest,
-                               capture_threaded, check_detection,
+                               capture, capture_threaded, check_detection,
                                check_mt_transparency,
                                check_transparency,
                                claimed_categories, run_oracles)
@@ -27,7 +27,8 @@ __all__ = [
     "FuzzKnobs", "ProgramGenerator", "generate_program",
     "generate_source",
     "MinimizeResult", "minimize_source",
-    "DetectionEscape", "OracleReport", "RunDigest", "capture_threaded",
+    "DetectionEscape", "OracleReport", "RunDigest", "capture",
+    "capture_threaded",
     "check_detection", "check_mt_transparency",
     "check_transparency", "claimed_categories", "run_oracles",
     "FuzzConfig", "FuzzReport", "run_fuzz",

@@ -31,8 +31,7 @@ from functools import lru_cache
 
 from repro.cfg import build_cfg
 from repro.cfg.basic_block import ExitKind
-from repro.checking import Policy, UpdateStyle, make_technique
-from repro.dbt import Dbt
+from repro.checking import Policy
 from repro.faults.campaign import Outcome, Pipeline, PipelineConfig
 from repro.faults.classify import (Category, classify_offset_fault,
                                    corrupted_target)
@@ -40,11 +39,10 @@ from repro.faults.injector import FaultSpec, OffsetBitFault
 from repro.formal import FORMAL_TECHNIQUES
 from repro.formal.conditions import check_conditions
 from repro.formal.model import diamond_cfg, fanin_cfg, loop_cfg
-from repro.instrument import StaticRewriter
 from repro.isa.encoding import BRANCH_OFFSET_BITS
 from repro.isa.opcodes import Kind
 from repro.isa.program import Program
-from repro.machine import Cpu, StopReason
+from repro.machine import Cpu, StopReason, run_native
 
 #: Techniques the DBT instruments on the fly (local signature state).
 DBT_TECHNIQUES = ("edgcf", "rcf", "ecf")
@@ -95,10 +93,9 @@ class RunDigest:
 
 
 def _digest_state(cpu: Cpu, stop_value: str, detected: bool,
-                  data_base: int, data_len: int,
-                  schedule: str = "-") -> RunDigest:
-    if data_len:
-        blob = cpu.memory.read_raw(data_base, data_len)
+                  program: Program, schedule: str = "-") -> RunDigest:
+    if program.data:
+        blob = cpu.memory.read_raw(program.data_base, len(program.data))
         mem_digest = hashlib.sha256(blob).hexdigest()[:16]
     else:
         mem_digest = "-"
@@ -112,69 +109,42 @@ def _digest_state(cpu: Cpu, stop_value: str, detected: bool,
                      schedule=schedule)
 
 
-def _digest_cpu(cpu: Cpu, stop, detected: bool,
-                data_base: int, data_len: int) -> RunDigest:
-    return _digest_state(cpu, stop.reason.value, detected,
-                         data_base, data_len)
+class _Probe:
+    """Run probe keeping the run's CPU, with syscall tracing turned on
+    as the pipeline binds it, so the final state can be digested."""
 
-
-def _install(cpu: Cpu, backend: str) -> None:
-    if backend != "interp":
-        from repro.exec import install_backend
-        install_backend(cpu, backend)
-
-
-def capture_native(program: Program,
-                   max_steps: int = _MAX_STEPS,
-                   backend: str = "interp") -> RunDigest:
-    """Uninstrumented run — the golden reference."""
-    cpu = Cpu()
-    _install(cpu, backend)
-    cpu.load_program(program, executable_text=True)
-    cpu.syscall_trace = []
-    stop = cpu.run(max_steps=max_steps)
-    return _digest_cpu(cpu, stop, False, program.data_base,
-                       len(program.data))
-
-
-def capture_static(program: Program, technique, policy: Policy,
-                   max_steps: int = _MAX_STEPS,
-                   backend: str = "interp") -> RunDigest:
-    """Statically rewritten program on the interpreter."""
-    ip = StaticRewriter(technique, policy).rewrite(program)
-    cpu = Cpu()
-    _install(cpu, backend)
-    cpu.load_program(ip.program, executable_text=True)
-    cpu.syscall_trace = []
-    stop = cpu.run(max_steps=max_steps)
-    return _digest_cpu(cpu, stop, cpu.cfc_error, program.data_base,
-                       len(program.data))
-
-
-def capture_dbt(program: Program, technique, policy: Policy,
-                max_steps: int = _MAX_STEPS,
-                backend: str = "interp") -> RunDigest:
-    """Translated run under the DBT."""
-    dbt = Dbt(program, technique=technique, policy=policy)
-    _install(dbt.cpu, backend)
-    dbt.cpu.syscall_trace = []
-    result = dbt.run(max_steps=max_steps)
-    detected = result.detected_error or result.detected_dataflow
-    return _digest_cpu(dbt.cpu, result.stop, detected,
-                       program.data_base, len(program.data))
-
-
-class _ThreadedProbe:
-    """Keeps the run's CPU and ThreadedMachine for digesting."""
-
-    def __init__(self) -> None:
-        self.cpu = None
-        self.machine = None
-        self.recovery = None
+    cpu = None
 
     def bind(self, cpu, **_kwargs) -> None:
         self.cpu = cpu
         cpu.syscall_trace = []
+
+
+def capture(program: Program, config: PipelineConfig,
+            max_steps: int = _MAX_STEPS,
+            technique_factory=None) -> RunDigest:
+    """One clean run of ``program`` under ``config``, digested.
+
+    The run goes through :meth:`Pipeline.execute`, the path every
+    campaign run takes.  The pipeline is built without a golden run: a
+    technique that misbehaves on a fault-free run must show up as a
+    divergent digest here, not as a golden-run error.  Multithreaded
+    configs also digest the schedule trace.
+    """
+    pipe = Pipeline.without_golden(program, config, technique_factory)
+    run = pipe.execute(None, max_steps, _Probe())
+    schedule = (run.machine.trace_digest()
+                if run.machine is not None else "-")
+    return _digest_state(run.cpu, run.stop.reason.value,
+                         run.detected(run.stop), program,
+                         schedule=schedule)
+
+
+def _crash_digest(exc: Exception) -> RunDigest:
+    """Stand-in digest for an instrumentation that raised outright."""
+    return RunDigest(stop=f"error: {exc}", exit_code=-1, output="",
+                     output_values=(), mem_digest="-", syscalls=(),
+                     detected=False)
 
 
 def capture_threaded(program: Program, technique: str | None = None,
@@ -199,16 +169,7 @@ def capture_threaded(program: Program, technique: str | None = None,
                                      else quantum),
                             sched_policy=sched_policy,
                             sched_seed=sched_seed, sig_swap=sig_swap)
-    pipe = Pipeline(program, config)
-    probe = _ThreadedProbe()
-    record = pipe.run(None, max_steps=max_steps, probe=probe)
-    detected = record.outcome in (Outcome.DETECTED_SIGNATURE,
-                                  Outcome.DETECTED_HARDWARE)
-    schedule = (probe.machine.trace_digest()
-                if probe.machine is not None else "-")
-    return _digest_state(probe.cpu, record.stop_reason.split()[0],
-                         detected, program.data_base,
-                         len(program.data), schedule=schedule)
+    return capture(program, config, max_steps)
 
 
 #: Fields that legitimately differ between an instrumented MT run and
@@ -250,43 +211,34 @@ def check_mt_transparency(program: Program,
                           f"exit={golden.exit_code}")
     failures: list[TransparencyFailure] = []
 
-    def check(label: str, observed: RunDigest, reference: RunDigest,
-              ignore=()) -> None:
+    def check(label: str, reference: RunDigest, ignore=(),
+              **extra) -> RunDigest | None:
+        """Capture one lane and diff it; None when it crashed."""
+        try:
+            observed = capture_threaded(program, **kwargs, **extra)
+        except Exception as exc:   # instrumentation crashed outright
+            failures.append(TransparencyFailure(
+                label=label, fields=("stop",), golden=golden,
+                observed=_crash_digest(exc)))
+            return None
         diverged = reference.diff(observed, ignore=ignore)
         if diverged:
             failures.append(TransparencyFailure(
                 label=label, fields=tuple(diverged),
                 golden=reference, observed=observed))
+        return observed
 
-    def capture(label: str, **extra) -> RunDigest | None:
-        try:
-            return capture_threaded(program, **kwargs, **extra)
-        except Exception as exc:   # instrumentation crashed outright
-            failures.append(TransparencyFailure(
-                label=label, fields=("stop",), golden=golden,
-                observed=RunDigest(stop=f"error: {exc}", exit_code=-1,
-                                   output="", output_values=(),
-                                   mem_digest="-", syscalls=(),
-                                   detected=False)))
-            return None
-
-    block = capture("native-mt@block", backend="block")
-    if block is not None:
-        check("native-mt@block", block, golden)
+    check("native-mt@block", golden, backend="block")
     for technique in techniques:
         for sig_swap in (True, False):
             tag = "" if sig_swap else "-sigswap"
             label = f"static-mt/{technique}{tag}"
-            interp = capture(f"{label}@interp", technique=technique,
-                             sig_swap=sig_swap)
-            if interp is None:
-                continue
-            check(f"{label}@interp", interp, golden,
-                  ignore=MT_INSTRUMENTED_IGNORE)
-            blocked = capture(f"{label}@block", technique=technique,
-                              sig_swap=sig_swap, backend="block")
-            if blocked is not None:
-                check(f"{label}@block", blocked, interp)
+            interp = check(f"{label}@interp", golden,
+                           MT_INSTRUMENTED_IGNORE, technique=technique,
+                           sig_swap=sig_swap)
+            if interp is not None:
+                check(f"{label}@block", interp, technique=technique,
+                      sig_swap=sig_swap, backend="block")
     return failures
 
 
@@ -325,16 +277,6 @@ class TransparencyFailure:
 
     def describe(self) -> str:
         return f"{self.label}: {', '.join(self.fields)} diverged"
-
-
-def _technique_instance(name: str, update_style: UpdateStyle,
-                        cfg, config: PipelineConfig,
-                        technique_factory=None):
-    if technique_factory is not None:
-        return technique_factory(config, cfg)
-    needs_cfg = name in STATIC_TECHNIQUES
-    return make_technique(name, update_style=update_style,
-                          cfg=cfg if needs_cfg else None)
 
 
 def transparency_configs(program: Program,
@@ -387,7 +329,7 @@ def check_transparency(program: Program,
                        max_steps: int = _MAX_STEPS
                        ) -> list[TransparencyFailure]:
     """Diff every instrumented clean run against the golden run."""
-    golden = capture_native(program, max_steps)
+    golden = capture(program, PipelineConfig("native"), max_steps)
     if golden.stop != StopReason.HALTED.value or golden.exit_code != 0:
         raise OracleError(f"golden run failed: {golden.stop} "
                           f"exit={golden.exit_code}")
@@ -395,30 +337,11 @@ def check_transparency(program: Program,
         configs = transparency_configs(program, techniques, policies)
     failures = []
     for config in configs:
-        cfg = build_cfg(program)
         try:
-            if config.pipeline == "native":
-                # Bare cross-backend lane: uninstrumented program on a
-                # non-default execution backend vs the interpreter.
-                observed = capture_native(program, max_steps,
-                                          backend=config.backend)
-            else:
-                technique = _technique_instance(
-                    config.technique, config.update_style, cfg, config,
-                    technique_factory)
-                if config.pipeline == "static":
-                    observed = capture_static(program, technique,
-                                              config.policy, max_steps,
-                                              backend=config.backend)
-                else:
-                    observed = capture_dbt(program, technique,
-                                           config.policy, max_steps,
-                                           backend=config.backend)
+            observed = capture(program, config, max_steps,
+                               technique_factory)
         except Exception as exc:   # instrumentation crashed outright
-            observed = RunDigest(stop=f"error: {exc}", exit_code=-1,
-                                 output="", output_values=(),
-                                 mem_digest="-", syscalls=(),
-                                 detected=False)
+            observed = _crash_digest(exc)
         diverged = golden.diff(observed)
         if diverged:
             failures.append(TransparencyFailure(
@@ -493,10 +416,7 @@ def enumerate_detection_specs(program: Program, claimed,
     landings are excluded.
     """
     trace = _SiteTrace()
-    cpu = Cpu()
-    cpu.load_program(program, executable_text=True)
-    cpu.branch_profiler = trace
-    stop = cpu.run(max_steps=_MAX_STEPS)
+    cpu, stop = run_native(program, max_steps=_MAX_STEPS, profiler=trace)
     if stop.reason is not StopReason.HALTED or cpu.exit_code != 0:
         raise OracleError(f"profiling run failed: {stop}")
     cfg = build_cfg(program)
@@ -527,6 +447,24 @@ def enumerate_detection_specs(program: Program, claimed,
     return specs
 
 
+def _fault_suite(program: Program, technique: str, policy: Policy,
+                 pipeline: str | None, technique_factory, max_sites,
+                 claimed, **config_fields):
+    """(config, specs, pipeline) of one technique's exhaustive
+    single-bit fault suite; the pipeline defaults to static for the
+    whole-CFG baselines and to the DBT otherwise."""
+    if pipeline is None:
+        pipeline = ("static" if technique in STATIC_TECHNIQUES
+                    else "dbt")
+    if claimed is None:
+        claimed = claimed_categories(technique)
+    config = PipelineConfig(pipeline, technique, policy, **config_fields)
+    specs = enumerate_detection_specs(program, claimed,
+                                      max_sites=max_sites)
+    return config, specs, Pipeline(program, config,
+                                   technique_factory=technique_factory)
+
+
 def check_detection(program: Program, technique: str,
                     policy: Policy = Policy.ALLBB,
                     pipeline: str | None = None,
@@ -540,17 +478,9 @@ def check_detection(program: Program, technique: str,
     An escape is a fault in a claimed category whose run ended in
     silent data corruption or an unreported hang.
     """
-    if pipeline is None:
-        pipeline = ("static" if technique in STATIC_TECHNIQUES
-                    else "dbt")
-    if claimed is None:
-        claimed = claimed_categories(technique)
-    config = PipelineConfig(pipeline, technique, policy,
-                            backend=backend)
-    specs = enumerate_detection_specs(program, claimed,
-                                      max_sites=max_sites)
-    pipe = Pipeline(program, config,
-                    technique_factory=technique_factory)
+    config, specs, pipe = _fault_suite(
+        program, technique, policy, pipeline, technique_factory,
+        max_sites, claimed, backend=backend)
     escapes = []
     for spec, category in specs:
         record = pipe.run(spec)
@@ -587,19 +517,6 @@ class RecoveryFailure:
                 f"category {self.category} -> {self.outcome}{detail}")
 
 
-class _RecoveryProbe:
-    """Minimal run probe: keeps the run's CPU (with syscall tracing on)
-    so the recovered final state can be digested against golden."""
-
-    def __init__(self) -> None:
-        self.cpu = None
-        self.recovery = None
-
-    def bind(self, cpu, **_kwargs) -> None:
-        self.cpu = cpu
-        cpu.syscall_trace = []
-
-
 def check_recovery(program: Program, technique: str,
                    policy: Policy = Policy.ALLBB,
                    pipeline: str | None = None,
@@ -620,23 +537,14 @@ def check_recovery(program: Program, technique: str,
     detects (masked or escaped) are the detection oracle's business and
     are skipped here.
     """
-    if pipeline is None:
-        pipeline = ("static" if technique in STATIC_TECHNIQUES
-                    else "dbt")
-    if claimed is None:
-        claimed = claimed_categories(technique)
-    golden = capture_native(program)
-    config = PipelineConfig(pipeline, technique, policy,
-                            backend=backend, recover=True,
-                            checkpoint_interval=checkpoint_interval,
-                            max_retries=max_retries)
-    specs = enumerate_detection_specs(program, claimed,
-                                      max_sites=max_sites)
-    pipe = Pipeline(program, config,
-                    technique_factory=technique_factory)
+    golden = capture(program, PipelineConfig("native"))
+    config, specs, pipe = _fault_suite(
+        program, technique, policy, pipeline, technique_factory,
+        max_sites, claimed, backend=backend, recover=True,
+        checkpoint_interval=checkpoint_interval, max_retries=max_retries)
     failures = []
     for spec, category in specs:
-        probe = _RecoveryProbe()
+        probe = _Probe()
         record = pipe.run(spec, probe=probe)
         if record.outcome in (Outcome.BENIGN, Outcome.SDC,
                               Outcome.HANG):
@@ -648,8 +556,7 @@ def check_recovery(program: Program, technique: str,
                 outcome=record.outcome.value))
             continue
         digest = _digest_state(probe.cpu, StopReason.HALTED.value,
-                               False, program.data_base,
-                               len(program.data))
+                               False, program)
         fields = golden.diff(digest)
         if fields:
             failures.append(RecoveryFailure(

@@ -350,10 +350,21 @@ class Job:
         return data
 
     def save(self) -> None:
+        self._write(self.to_json())
+
+    def publish(self, status: JobStatus) -> None:
+        """Move to ``status``: on disk first, then in memory, so a
+        poller that sees the new status can load it from job.json."""
+        data = self.to_json()
+        data["status"] = status.value
+        self._write(data)
+        self.status = status
+
+    def _write(self, data: dict) -> None:
         os.makedirs(self.workspace, exist_ok=True)
         tmp = self.state_path + ".tmp"
         with open(tmp, "w") as handle:
-            json.dump(self.to_json(), handle, indent=1)
+            json.dump(data, handle, indent=1)
         os.replace(tmp, self.state_path)
 
     @classmethod
@@ -473,7 +484,7 @@ def _run_coverage(job: Job) -> dict:
                              for outcome, count in bucket.items()}
             for category, bucket in result.outcomes.items()}
     return {"table": matrix.table(), "configs": configs,
-            "infra": sum(result.total_infra()
+            "infra": sum(result.infra
                          for result in matrix.results.values())}
 
 

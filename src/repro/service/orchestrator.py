@@ -125,8 +125,7 @@ class Orchestrator:
             self._stopping = True
             for job_id in self._queue:
                 job = self._jobs[job_id]
-                job.status = JobStatus.REQUEUED
-                job.save()
+                job.publish(JobStatus.REQUEUED)
                 job.emit("status", status=job.status.value)
             self._queue.clear()
             running = [job for job in self._jobs.values()
@@ -191,9 +190,8 @@ class Orchestrator:
                 raise KeyError(job_id)
             if job.status is JobStatus.QUEUED:
                 self._queue.remove(job_id)
-                job.status = JobStatus.CANCELLED
                 job.finished = time.time()
-                job.save()
+                job.publish(JobStatus.CANCELLED)
                 job.emit("status", status=job.status.value)
                 return True
             if job.status is JobStatus.RUNNING:
@@ -295,19 +293,19 @@ class Orchestrator:
         except CampaignStopped as exc:
             job.completed = exc.completed
             job.total = exc.total
-            if job.cancelled:
-                job.status = JobStatus.CANCELLED
-            else:
-                job.status = JobStatus.REQUEUED
+            status = (JobStatus.CANCELLED if job.cancelled
+                      else JobStatus.REQUEUED)
         except Exception as exc:
-            job.status = JobStatus.FAILED
+            status = JobStatus.FAILED
             job.error = f"{type(exc).__name__}: {exc}"
             log.warning("job %s failed:\n%s", job.id,
                         traceback.format_exc())
         else:
-            job.status = JobStatus.DONE
+            status = JobStatus.DONE
             job.result = result
         job.finished = time.time()
+        # Terminal state reaches job.json before pollers can see it.
+        job.publish(status)
         self._append_job_span(job)
         self.registry.merge_snapshot(registry.snapshot())
         self.registry.counter(
@@ -316,7 +314,6 @@ class Orchestrator:
         self.registry.histogram(
             "service_job_seconds", help="job wall-clock",
             kind=job.spec.kind).observe(time.monotonic() - started)
-        job.save()
         job.emit("status", status=job.status.value,
                  error=job.error)
         job.emit("end", status=job.status.value)

@@ -14,13 +14,15 @@ from repro.exec.block import BlockCompileBackend, clear_code_cache
 from repro.faults.cache import config_key
 from repro.faults.campaign import PipelineConfig
 from repro.fuzz.generator import FuzzKnobs, generate_program
-from repro.fuzz.oracle import capture_native
+from repro.fuzz.oracle import capture
 from repro.isa import assemble
 from repro.machine import BranchProfiler, Cpu, StopReason, run_native
 from repro.workloads import load
 
 PARITY_PROGRAMS = 200
 MAX_STEPS = 200_000
+NATIVE = PipelineConfig("native")
+NATIVE_BLOCK = PipelineConfig("native", backend="block")
 
 
 def _fresh(program, backend):
@@ -76,8 +78,8 @@ class TestDigestParity:
         knobs = FuzzKnobs()
         for seed in range(PARITY_PROGRAMS):
             program = generate_program(seed, knobs)
-            ref = capture_native(program, MAX_STEPS)
-            blk = capture_native(program, MAX_STEPS, backend="block")
+            ref = capture(program, NATIVE, MAX_STEPS)
+            blk = capture(program, NATIVE_BLOCK, MAX_STEPS)
             assert blk == ref, f"seed {seed} diverged"
 
     def test_step_limit_sweep(self):
@@ -87,8 +89,8 @@ class TestDigestParity:
         for seed in (3, 17, 29):
             program = generate_program(seed, knobs)
             for limit in range(1, 300, 7):
-                ref = capture_native(program, limit)
-                blk = capture_native(program, limit, backend="block")
+                ref = capture(program, NATIVE, limit)
+                blk = capture(program, NATIVE_BLOCK, limit)
                 assert blk == ref, f"seed {seed} limit {limit}"
 
     def test_workload_parity(self):

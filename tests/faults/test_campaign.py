@@ -80,7 +80,7 @@ class TestCoverageClaims:
                 for name, config in configs.items()}
 
     def test_unprotected_run_suffers_sdc(self, results):
-        total_sdc = sum(results["none"].sdc_count(c)
+        total_sdc = sum(results["none"].count(Outcome.SDC, category=c)
                         for c in Category if c is not Category.NO_ERROR)
         assert total_sdc > 0
 

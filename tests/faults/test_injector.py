@@ -129,7 +129,7 @@ class TestDbtInjection:
                          RedirectFault(loop_program.symbols["main"]))
         dbt = Dbt(loop_program, technique=EdgCF())
         injector = DbtInjector(spec, dbt)
-        injector.install()
+        injector.install(dbt.cpu)
         result = dbt.run(max_steps=100_000)
         assert injector.fired
         # jumping to main's head with the wrong signature -> detected
@@ -139,7 +139,7 @@ class TestDbtInjection:
         spec = FaultSpec(branch_pc(loop_program), 2,
                          RedirectFault(loop_program.symbols["main"]))
         dbt = Dbt(loop_program)
-        DbtInjector(spec, dbt).install()
+        DbtInjector(spec, dbt).install(dbt.cpu)
         result = dbt.run(max_steps=100_000)
         assert not result.detected_error
         assert dbt.cpu.output_values != [0, 1, 2, 3]
@@ -149,7 +149,7 @@ class TestDbtInjection:
                          DirectionFault(taken=None))
         dbt = Dbt(loop_program, technique=EdgCF())
         injector = DbtInjector(spec, dbt)
-        injector.install()
+        injector.install(dbt.cpu)
         result = dbt.run(max_steps=100_000)
         assert injector.fired
         assert result.detected_error   # category A caught by EdgCF
@@ -160,7 +160,7 @@ class TestDbtInjection:
                          OffsetBitFault(bit=3))
         dbt = Dbt(loop_program, technique=EdgCF())
         injector = DbtInjector(spec, dbt)
-        injector.install()
+        injector.install(dbt.cpu)
         result = dbt.run(max_steps=100_000)
         assert injector.fired
         assert result.ok
@@ -186,7 +186,7 @@ class TestDbtInjection:
             install_backend(dbt.cpu, backend)
             injector = DbtInjector(
                 FaultSpec(pc, stats.executions + 1, DirectionFault()), dbt)
-            injector.install()
+            injector.install(dbt.cpu)
             assert dbt.run().ok
             assert (dbt.flushes > 0) == (cache_size is not None)
             assert not injector.fired

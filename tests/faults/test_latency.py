@@ -72,7 +72,7 @@ class TestCacheFaultLatency:
     def test_cache_level_detection_records_latency(self, program):
         """Regression: CacheFaultSpec runs must carry detection_latency
         just like guest-level injections — CacheLevelInjector plumbs
-        fired_icount through Pipeline._run_dbt."""
+        fired_icount through Pipeline.execute."""
         from repro.faults import (CacheFaultSpec,
                                   enumerate_instrumentation_branch_sites)
         config = PipelineConfig("dbt", "rcf")

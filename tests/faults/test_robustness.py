@@ -67,8 +67,9 @@ class TestQuarantine:
             Category.A: clean_specs[:2] + [RaisingSpec()]})
         result = CampaignExecutor(gap, CONFIG, jobs=1).run_campaign(
             faults)
-        assert result.infra_count(Category.A) == 1
-        assert result.total_infra() == 1
+        assert result.count(Outcome.INFRA_ERROR,
+                            category=Category.A) == 1
+        assert result.infra == 1
         bucket = result.outcomes[Category.A]
         harmful = (bucket[Outcome.DETECTED_SIGNATURE]
                    + bucket[Outcome.DETECTED_HARDWARE]

@@ -70,8 +70,8 @@ class TestEffectiveness:
             assert total == pytest.approx(1.0)
 
     def test_protection_removes_unreported_harm(self, results):
-        assert results["none"].sdc_rate > 0
-        assert results["rcf"].unreported_harm_rate == 0.0
+        assert results["none"].rate(Outcome.SDC) > 0
+        assert results["rcf"].rate(Outcome.SDC, Outcome.HANG) == 0.0
 
     def test_hardware_rate_stable_across_configs(self, results):
         """Category-F faults are hardware-caught with or without a

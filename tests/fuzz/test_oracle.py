@@ -77,6 +77,12 @@ class TestTransparency:
             program, configs=configs,
             technique_factory=edgcf_factory(SkipGenSigEdgCF))
         assert failures, "broken edgcf must diverge from golden"
+        # A false positive is a divergent run, not a crash: captures
+        # never run a golden reference of the broken technique, so
+        # nothing raises before the run is digested.
+        for failure in failures:
+            assert failure.is_crash is False, failure.describe()
+            assert "detected" in failure.fields, failure.describe()
 
 
 class TestDetection:

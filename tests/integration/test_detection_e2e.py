@@ -85,14 +85,14 @@ class TestAssumption2Residual:
         result = run_campaign(program, PipelineConfig("dbt", "rcf"),
                               faults)
         # with the exit-block landings included, E may contain escapes…
-        total_sdc = sum(result.sdc_count(c) for c in Category
-                        if c is not Category.NO_ERROR)
+        total_sdc = sum(result.count(Outcome.SDC, category=c)
+                        for c in Category if c is not Category.NO_ERROR)
         # …but the default generator excludes them:
         clean = generate_category_faults(program, per_category=20,
                                          seed=1)
         clean_result = run_campaign(program,
                                     PipelineConfig("dbt", "rcf"), clean)
-        clean_sdc = sum(clean_result.sdc_count(c) for c in Category
-                        if c is not Category.NO_ERROR)
+        clean_sdc = sum(clean_result.count(Outcome.SDC, category=c)
+                        for c in Category if c is not Category.NO_ERROR)
         assert clean_sdc == 0
         assert total_sdc >= clean_sdc

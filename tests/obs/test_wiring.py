@@ -140,7 +140,7 @@ class TestDbt:
         # wrong signature must fire a check, counted as a detection
         DbtInjector(FaultSpec(0x1014, 2,
                               RedirectFault(program.symbols["main"])),
-                    dbt).install()
+                    dbt).install(dbt.cpu)
         result = dbt.run(max_steps=100_000)
         assert result.detected_error
         assert counter_value(registry, "dbt_detections_total",

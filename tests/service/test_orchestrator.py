@@ -1,6 +1,7 @@
 """Orchestrator: scheduling, quotas, cancel, drain/resume, caching."""
 
 import os
+import time
 
 import pytest
 
@@ -38,6 +39,34 @@ class TestLifecycle:
         # job.json persisted the terminal state.
         reloaded = Job.load(job.workspace)
         assert reloaded.status is JobStatus.DONE
+        orch.drain(timeout=5)
+
+    def test_terminal_status_is_on_disk_before_it_is_visible(
+            self, monkeypatch, tmp_path, sum_loop_src, ten_faults):
+        """Regression: the worker published DONE in memory well before
+        job.json was rewritten, so a poller could see a terminal status
+        that Job.load still reported as RUNNING.  A slow disk widens
+        that window; every terminal status a poller sees must already
+        be on disk."""
+        save = Job.save
+
+        def slow_save(self, *args, **kwargs):
+            time.sleep(0.2)
+            save(self, *args, **kwargs)
+
+        monkeypatch.setattr(Job, "save", slow_save)
+        orch = Orchestrator(str(tmp_path), workers=1)
+        job = orch.submit(validate_spec(
+            inject_payload(sum_loop_src, ten_faults)))
+        terminal = (JobStatus.DONE, JobStatus.FAILED,
+                    JobStatus.CANCELLED, JobStatus.REQUEUED)
+        deadline = time.monotonic() + 120
+        while job.status not in terminal:
+            assert time.monotonic() < deadline, job.status
+            time.sleep(0.005)
+        observed = job.status
+        assert observed is JobStatus.DONE
+        assert Job.load(job.workspace).status is observed
         orch.drain(timeout=5)
 
     def test_verify_job(self, wait_terminal, tmp_path, sum_loop_src):
