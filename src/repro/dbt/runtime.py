@@ -63,6 +63,33 @@ class DbtResult:
                 and not self.detected_error)
 
 
+@dataclass(frozen=True)
+class TranslationState:
+    """Everything translation mutates outside machine memory, as of one
+    point of a run (see :meth:`Dbt.snapshot`).
+
+    The code cache's words and the guest pages' permissions live in
+    the machine's memory and are rewound with it; this record holds the
+    rest: the translation tables, which exit slots are chained, the
+    allocation cursors, the entry stub and the flush counters.
+    """
+
+    blocks: dict
+    suffixes: dict
+    slots: dict
+    addr_map: dict
+    check_sites: frozenset
+    #: ids of the slots whose exit stub is chained
+    patched: frozenset
+    cursor: int
+    next_slot: int
+    entry_stub: int | None
+    flushes: int
+    smc_flushes: int
+    protected_pages: frozenset
+    dirty_pages: frozenset
+
+
 class Dbt:
     """A dynamic binary translator session for one guest program."""
 
@@ -109,6 +136,10 @@ class Dbt:
         self.smc_flushes = 0
         #: all cache flushes (SMC + cache-full evictions)
         self.flushes = 0
+        #: cache address of the entry stub, emitted when the run
+        #: starts.  It stays set across flushes: a later ``run`` call
+        #: resumes where the last one stopped instead of re-entering
+        #: the program.
         self._entry_stub: int | None = None
         self._protected_pages: set[int] = set()
         self._dirty_pages: set[int] = set()
@@ -238,6 +269,59 @@ class Dbt:
         # Raw writes into the cache are the translator's own; ignore.
         pass
 
+    # -- rewinding -------------------------------------------------------------
+
+    def snapshot(self, previous: TranslationState | None = None
+                 ) -> TranslationState:
+        """Copy the translation state.  Tables equal to ``previous``'s
+        are shared with it rather than copied: a run translates early
+        and then stops, so consecutive snapshots mostly coincide."""
+        def share(live, field, freeze=dict):
+            saved = getattr(previous, field, None)
+            return saved if saved == live else freeze(live)
+
+        return TranslationState(
+            blocks=share(self.blocks, "blocks"),
+            suffixes=share(self._suffixes, "suffixes"),
+            slots=share(self.slots, "slots"),
+            addr_map=share(self.addr_map, "addr_map"),
+            check_sites=share(self._check_sites, "check_sites",
+                              frozenset),
+            patched=frozenset(slot_id for slot_id, slot
+                              in self.slots.items() if slot.patched),
+            cursor=self.cache.cursor,
+            next_slot=self.translator._next_slot,
+            entry_stub=self._entry_stub,
+            flushes=self.flushes,
+            smc_flushes=self.smc_flushes,
+            protected_pages=frozenset(self._protected_pages),
+            dirty_pages=frozenset(self._dirty_pages))
+
+    def restore(self, state: TranslationState) -> None:
+        """Put the translation state back to ``state``.
+
+        Containers are refilled in place (the CPU shares the check-site
+        set).  The code cache's words and the guest pages' permissions
+        are the caller's to restore, with the rest of memory."""
+        for live, saved in ((self.blocks, state.blocks),
+                            (self._suffixes, state.suffixes),
+                            (self.slots, state.slots),
+                            (self.addr_map, state.addr_map),
+                            (self._check_sites, state.check_sites),
+                            (self._protected_pages,
+                             state.protected_pages),
+                            (self._dirty_pages, state.dirty_pages)):
+            if live != saved:
+                live.clear()
+                live.update(saved)
+        for slot_id, slot in self.slots.items():
+            slot.patched = slot_id in state.patched
+        self.cache.cursor = state.cursor
+        self.translator._next_slot = state.next_slot
+        self._entry_stub = state.entry_stub
+        self.flushes = state.flushes
+        self.smc_flushes = state.smc_flushes
+
     def lookup_cache_addr(self, guest_addr: int) -> int | None:
         """Cache address for a guest instruction address, if translated."""
         return self.addr_map.get(guest_addr)
@@ -314,7 +398,6 @@ class Dbt:
         self._suffixes.clear()
         self._static_cfg = None   # guest code may have changed
         self._static_leaders = None
-        self._entry_stub = None
         self.flushes += 1
         self.cpu._dcache.clear()
         if self.translation_listener is not None:

@@ -1005,7 +1005,9 @@ def _bind(backend, mem, code, env_extra, start, instrs, pcs, cs,
     }
     env.update(env_extra)
     exec(code, env)  # noqa: S102
-    return CompiledBlock(start, len(instrs), env["_fn"], tuple(pcs),
+    # Popped, not read: a function held by its own globals would keep
+    # the memory it binds alive until the cycle collector runs.
+    return CompiledBlock(start, len(instrs), env.pop("_fn"), tuple(pcs),
                          loop)
 
 

@@ -33,14 +33,24 @@ RECOVERY_FAILED     (``recover=True``) recovery was attempted but the
                     budget exhausted, or re-execution went bad anyway
 ==================  =====================================================
 
-Every run takes one path, :meth:`Pipeline.execute`: the per-pipeline
-part makes the machine (a :class:`Run` with its CPU, step function,
-detection predicate and optional DBT session or threaded machine),
-then one skeleton attaches the fault, binds the probe and steps —
-under the :class:`~repro.recovery.RecoveryManager` when recovery is on
-and there is a fault.  :meth:`Pipeline.run` classifies the result.
-Detection latency is set only on runs without recovery; a recovered
-run reports its attempts and rollback distance instead.
+A fresh run takes one path, :meth:`Pipeline.execute`: the
+per-pipeline part makes the machine (a :class:`Run` with its CPU, step
+function, detection predicate and optional DBT session or threaded
+machine), then one skeleton attaches the fault, binds the probe and
+steps — under the :class:`~repro.recovery.RecoveryManager` when
+recovery is on and there is a fault.  :meth:`Pipeline.run` classifies
+the result and then unlinks the machine (:meth:`Run.close`), so
+reference counting frees it.
+
+:meth:`Pipeline.run` *forks* single-threaded branch, cache-level and
+register fault runs without recovery instead (:mod:`repro.faults.fork`):
+one machine kept on the pipeline is rewound to the last golden-run
+rung before the fault fires, and the run steps from there with the
+rest of its step budget.  The record is the one a fresh run gives.
+Golden runs, probed runs, oracle captures, recovery, threads and
+chaos specs stay on the fresh path.  Detection latency is set only on
+runs without recovery; a recovered run reports its attempts and
+rollback distance instead.
 """
 
 from __future__ import annotations
@@ -200,6 +210,30 @@ class Run:
     stop: StopInfo | None = None
     report: object = None
 
+    def close(self) -> None:
+        """Unlink the machine's parts so reference counting frees it as
+        soon as the run is dropped.  The CPU, memory, backend, DBT
+        session, injector hooks and threaded machine point at each
+        other; the final state stays readable, but the machine must not
+        be stepped again."""
+        cpu = self.cpu
+        memory = cpu.memory
+        memory.write_watch = memory.perm_watch = None
+        cpu._backend_write_watch = cpu._external_write_watch = None
+        cpu.branch_hooks = {}
+        cpu.branch_profiler = None
+        cpu.scheduled_fault = None
+        cpu.thread_api = None
+        backend = cpu.backend
+        if backend is not None:
+            # Compiled blocks link to each other and to the backend.
+            backend.flush()
+            backend.cpu = None
+            cpu.backend = None
+        if self.dbt is not None:
+            self.dbt.translation_listener = None
+            self.dbt.inject_redirect = None
+
 
 def _never_detected(stop: StopInfo) -> bool:
     # A native run is never signature-detected: nothing checks it.
@@ -266,6 +300,9 @@ class Pipeline:
                 "static pipeline (the DBT tier does not context-switch "
                 "translated state)")
         self._instrumented: InstrumentedProgram | None = None
+        #: golden-run rungs on the machine forked runs use; built by
+        #: the first forked run (see :meth:`_fork`)
+        self._ladder = None
         self._mt_spawn_table: dict | None = None
         self._mt_resync: dict | None = None
         self._mt_sig_regs: tuple = ()
@@ -359,7 +396,17 @@ class Pipeline:
             return fault.chaos_run(self)
         if max_steps is None:
             max_steps = self.golden.step_budget
+        if probe is None and self._forks(fault):
+            return self.classify(self._fork(fault, max_steps))
         run = self.execute(fault, max_steps, probe)
+        try:
+            return self.classify(run)
+        finally:
+            run.close()
+
+    def classify(self, run: Run) -> RunRecord:
+        """The record of a stepped run: outcome, stop, outputs and
+        counters, plus detection latency or the recovery report."""
         detected = run.detected(run.stop)
         record = self._finish(run.cpu, run.stop, detected)
         if run.report is not None:
@@ -376,6 +423,63 @@ class Pipeline:
                 record.detection_latency_cycles = (
                     run.cpu.cycles - injector.fired_cycles)
         return record
+
+    # -- forked fault runs (repro.faults.fork) -------------------------------
+
+    def _forks(self, fault) -> bool:
+        """Does this fault run fork from the golden ladder?  Single-
+        threaded branch, cache-level and register faults without
+        recovery do; everything else runs fresh through :meth:`execute`.
+        """
+        config = self.config
+        if self.golden is None or config.recover or config.threads:
+            return False
+        if isinstance(fault, CacheFaultSpec):
+            return config.pipeline == "dbt"
+        return isinstance(fault, (FaultSpec, RegisterFaultSpec))
+
+    def _fork(self, fault, max_steps: int) -> Run:
+        """Run ``fault`` on the pipeline's forked-run machine, from the
+        last golden-run rung before the fault fires."""
+        from repro.faults.fork import GoldenLadder
+        ladder = self._ladder
+        try:
+            if ladder is None:
+                # Built by the first forked run, never counted: metrics
+                # see only the guest work fault runs execute.
+                with obs.scoped(None):
+                    ladder = GoldenLadder(self._build(), self.golden)
+                self._ladder = ladder
+            seed = 0
+            if isinstance(fault, RegisterFaultSpec):
+                index = ladder.rung_for_icount(fault.icount, max_steps)
+            else:
+                if isinstance(fault, CacheFaultSpec):
+                    hits = ladder.pc_hits.get(fault.cache_addr, [])
+                elif self.config.pipeline == "dbt":
+                    hits = ladder.guest_hits.get(fault.branch_pc, [])
+                else:
+                    hits = ladder.pc_hits.get(self._site(fault.branch_pc),
+                                              [])
+                index, seed = ladder.rung_for_visit(
+                    hits, fault.occurrence, max_steps)
+            run = ladder.rewind(index)
+            run.injector = self._attach_fault(run, fault)
+            if run.injector is not None:
+                run.injector.count = seed
+            run.stop = run.step(max_steps - ladder.rungs[index].steps)
+        except BaseException:
+            # The machine may be left mid-run: the next fork builds a
+            # new one.
+            self._ladder = None
+            raise
+        return run
+
+    def _site(self, branch_pc: int) -> int:
+        """Run-image address of a guest branch (native/static)."""
+        ip = self._instrumented
+        return branch_pc if ip is None else ip.instr_map.get(branch_pc,
+                                                             -1)
 
     def execute(self, fault: FaultSpec | CacheFaultSpec | None,
                 max_steps: int, probe=None) -> Run:
@@ -610,8 +714,7 @@ class Pipeline:
         elif self._instrumented is not None:
             ip = self._instrumented
             injector = NativeInjector(
-                fault, ip.program,
-                site_map=lambda pc: ip.instr_map.get(pc, -1),
+                fault, ip.program, site_map=self._site,
                 landing_map=lambda addr: ip.block_map.get(
                     addr, ip.instr_map.get(addr)),
                 noncode_target=ip.program.data_base + 0x40)
@@ -1006,6 +1109,7 @@ def enumerate_instrumentation_branch_sites(program: Program,
     """
     run = Pipeline.without_golden(program, config).execute(None,
                                                            50_000_000)
+    run.close()
     if run.stop.reason is not StopReason.HALTED or run.detected(run.stop):
         raise RuntimeError(f"warm run failed: {run.stop}")
     dbt = run.dbt

@@ -37,6 +37,7 @@ initializer's own message, never an opaque broken-pool error.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -87,15 +88,25 @@ def _safe_send(conn, message) -> None:
 
 
 def _worker_main(conn, init_fn, init_args, task_fn) -> None:
-    """Worker process body: init once, then serve tasks off the pipe."""
+    """Worker process body: init once, then serve tasks off the pipe
+    until told to stop, the pipe closes, or the supervisor dies.
+
+    A worker forked from the supervisor holds copies of the pool's
+    pipe ends, so a supervisor killed outright never closes them for
+    it: the worker watches the parent's sentinel as well.
+    """
     try:
         state = init_fn(*init_args) if init_fn is not None else None
     except BaseException as exc:
         _safe_send(conn, ("init_error", f"{type(exc).__name__}: {exc}"))
         return
     _safe_send(conn, ("ready",))
+    parent = multiprocessing.parent_process()
+    watched = [conn] if parent is None else [conn, parent.sentinel]
     while True:
         try:
+            if conn not in connection.wait(watched):
+                return                  # the supervisor is gone
             message = conn.recv()
         except (EOFError, OSError):
             return

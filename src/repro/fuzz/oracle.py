@@ -133,11 +133,14 @@ def capture(program: Program, config: PipelineConfig,
     """
     pipe = Pipeline.without_golden(program, config, technique_factory)
     run = pipe.execute(None, max_steps, _Probe())
-    schedule = (run.machine.trace_digest()
-                if run.machine is not None else "-")
-    return _digest_state(run.cpu, run.stop.reason.value,
-                         run.detected(run.stop), program,
-                         schedule=schedule)
+    try:
+        schedule = (run.machine.trace_digest()
+                    if run.machine is not None else "-")
+        return _digest_state(run.cpu, run.stop.reason.value,
+                             run.detected(run.stop), program,
+                             schedule=schedule)
+    finally:
+        run.close()
 
 
 def _crash_digest(exc: Exception) -> RunDigest:

@@ -70,6 +70,24 @@ class TestSelfModifyingCode:
         # the program still finished: blocks were retranslated
         assert result.translated_blocks > 0
 
+    def test_run_in_segments_resumes_after_a_flush(self):
+        """A run stepped a few instructions at a time (as recovery
+        segments and forked-run rungs step it) continues where it
+        stopped after the SMC flush instead of re-entering the
+        program."""
+        from repro.dbt import Dbt
+        program = assemble(SMC_LOOP_SRC)
+        whole, _ = run_dbt(program)
+        dbt = Dbt(program)
+        for _ in range(1000):
+            result = dbt.run(max_steps=5)
+            if result.stop.reason.value != "step_limit":
+                break
+        assert result.ok and result.smc_flushes == 1
+        assert dbt.cpu.output_values == whole.cpu.output_values
+        assert (dbt.cpu.icount, dbt.cpu.cycles) == (whole.cpu.icount,
+                                                    whole.cpu.cycles)
+
 
 def run_native_with_writable_text(program):
     from repro.machine import Cpu

@@ -1,0 +1,254 @@
+"""Forked fault runs: a run forked from a golden-run rung must give the
+record a fresh run gives, field for field, whatever ran before it on
+the pipeline's machine and however a campaign chunks and spreads it.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.dbt import Dbt
+from repro.faults.campaign import Outcome, Pipeline, PipelineConfig
+from repro.faults.executor import CampaignExecutor
+from repro.faults.fork import HIT_CAP, rung_spacing
+from repro.faults.injector import (DirectionFault, FaultSpec,
+                                   RedirectFault, RegisterFaultSpec)
+from repro.isa import assemble
+from repro.machine import Cpu, StopReason
+from tests.dbt.test_smc import SMC_LOOP_SRC
+from tests.faults.test_run_path import (BACKENDS, BRANCH_FAULTS, EXPECTED,
+                                        MT_PROGRAM, PROGRAM, _cache_faults,
+                                        _config, _faults, _record_tuple)
+
+#: Counts to 200; forcing its loop branch taken on the 200th visit
+#: skips the exit and runs until the step budget stops it.
+HANG_SRC = """
+.entry main
+main:
+    movi r1, 0
+loop:
+    addi r1, r1, 1
+    cmpi r1, 200
+    jnz loop
+    syscall 4
+    movi r1, 0
+    syscall 0
+"""
+HANG_PROGRAM = assemble(HANG_SRC, name="fork-hang")
+HANG = FaultSpec(HANG_PROGRAM.symbols["loop"] + 8, 200, DirectionFault())
+
+#: The single-threaded lanes of the pinned table, all of which fork.
+FORK_LANES = ("native", "static-rcf", "static-ecca", "dbt-rcf",
+              "dbt-ecf-df")
+
+
+def fresh_record(pipe: Pipeline, spec):
+    """The reference: a fresh machine built and stepped by execute."""
+    run = pipe.execute(spec, pipe.golden.step_budget)
+    try:
+        return pipe.classify(run)
+    finally:
+        run.close()
+
+
+def _differential_specs(lane: str) -> dict:
+    specs = dict(BRANCH_FAULTS)
+    specs["never-fires"] = FaultSpec(BRANCH_FAULTS["direction"].branch_pc,
+                                     10_000, DirectionFault())
+    specs["late-register"] = RegisterFaultSpec(icount=420, reg=1, bit=0)
+    if lane == "dbt-rcf":
+        specs.update(_cache_faults())
+    return specs
+
+
+@pytest.fixture(scope="module")
+def differential():
+    """(lane, backend, program, spec) -> (forked record, fresh record)."""
+    pairs = {}
+    for lane in FORK_LANES:
+        for backend in BACKENDS:
+            config = _config(lane, backend, recover=False)
+            for name, program, specs in (
+                    ("nested", PROGRAM, _differential_specs(lane)),
+                    ("hang", HANG_PROGRAM, {"hang": HANG})):
+                pipe = Pipeline(program, config)
+                for spec_name, spec in specs.items():
+                    pairs[lane, backend, name, spec_name] = (
+                        pipe.run(spec), fresh_record(pipe, spec))
+    return pairs
+
+
+def _differential_cases():
+    for lane in FORK_LANES:
+        for backend in BACKENDS:
+            for spec_name in _differential_specs(lane):
+                yield lane, backend, "nested", spec_name
+            yield lane, backend, "hang", "hang"
+
+
+@pytest.mark.parametrize("case", list(_differential_cases()),
+                         ids=lambda case: "-".join(case))
+def test_forked_run_matches_fresh_run(differential, case):
+    forked, fresh = differential[case]
+    assert forked == fresh
+
+
+def test_differential_covers_every_outcome_kind(differential):
+    outcomes = {forked.outcome for forked, _ in differential.values()}
+    assert {Outcome.SDC, Outcome.BENIGN, Outcome.DETECTED_SIGNATURE,
+            Outcome.DETECTED_HARDWARE, Outcome.HANG} <= outcomes
+    latencies = [forked.detection_latency
+                 for forked, _ in differential.values()
+                 if forked.detection_latency is not None]
+    assert latencies
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_hang_stops_at_the_step_budget(differential, backend):
+    forked, fresh = differential["native", backend, "hang", "hang"]
+    budget = Pipeline(HANG_PROGRAM, PipelineConfig("native")).golden \
+        .step_budget
+    assert forked.outcome is Outcome.HANG
+    assert forked.stop_reason.startswith(StopReason.STEP_LIMIT.value)
+    assert forked.icount == fresh.icount == budget
+
+
+class TestLadder:
+    def test_built_by_the_first_forked_run_only(self):
+        config = PipelineConfig("dbt", "rcf")
+        pipe = Pipeline(PROGRAM, config)
+        assert pipe._ladder is None
+        pipe.run(None)
+        assert pipe._ladder is None
+        pipe.run(BRANCH_FAULTS["direction"])
+        assert pipe._ladder is not None
+
+    @pytest.mark.parametrize("extra", [{"recover": True},
+                                       {"threads": True}])
+    def test_recovery_and_threads_run_fresh(self, extra):
+        config = PipelineConfig("native", **extra)
+        pipe = Pipeline(PROGRAM, config)
+        pipe.run(BRANCH_FAULTS["direction"])
+        assert pipe._ladder is None
+
+    def test_rungs_sit_at_the_golden_spacing(self):
+        pipe = Pipeline(HANG_PROGRAM, PipelineConfig("native"))
+        pipe.run(HANG)
+        ladder = pipe._ladder
+        spacing = rung_spacing(pipe.golden.icount)
+        assert ladder.spacing == spacing
+        assert [rung.icount for rung in ladder.rungs] == list(
+            range(0, pipe.golden.icount, spacing))
+        assert len(ladder.rungs) > 5
+
+    @pytest.mark.parametrize("config", [PipelineConfig("native"),
+                                        PipelineConfig("dbt", "rcf",
+                                                       backend="block")],
+                             ids=["native", "dbt-block"])
+    def test_forked_runs_build_no_machine(self, monkeypatch, config):
+        pipe = Pipeline(HANG_PROGRAM, config)
+        pipe.run(HANG)
+        built = []
+        cpu_init, dbt_init = Cpu.__init__, Dbt.__init__
+
+        def counted_cpu(self, *args, **kwargs):
+            built.append("cpu")
+            cpu_init(self, *args, **kwargs)
+
+        def counted_dbt(self, *args, **kwargs):
+            built.append("dbt")
+            dbt_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cpu, "__init__", counted_cpu)
+        monkeypatch.setattr(Dbt, "__init__", counted_dbt)
+        for occurrence in (150, 3, 199, 40):
+            pipe.run(FaultSpec(HANG.branch_pc, occurrence,
+                               DirectionFault()))
+        assert built == []
+
+    def test_occurrence_beyond_recorded_visits(self):
+        """A visit past the walk's per-site record forks from before
+        the last recorded one and still fires at the right visit."""
+        assert HIT_CAP < 200
+        pipe = Pipeline(HANG_PROGRAM, PipelineConfig("native"))
+        for occurrence in (HIT_CAP, HIT_CAP + 1, 200, 201):
+            spec = FaultSpec(HANG.branch_pc, occurrence, DirectionFault())
+            assert pipe.run(spec) == fresh_record(pipe, spec)
+
+
+# -- order and chunk independence over the pinned table -------------------
+
+
+def _pipelines():
+    """Every pipeline of the pinned run-path table: (key, program,
+    config, {fault name: spec})."""
+    for (lane, backend, recover, _fault) in EXPECTED:
+        if _fault != "golden":
+            continue
+        program = MT_PROGRAM if lane.startswith("mt-") else PROGRAM
+        yield ((lane, backend, recover), program,
+               _config(lane, backend, recover), _faults(lane))
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_pinned_table_in_any_order(order):
+    """One Pipeline per configuration runs its specs out of order; each
+    record still matches the pinned table."""
+    for key, program, config, faults in _pipelines():
+        names = list(faults)
+        if order == "reversed":
+            names.reverse()
+        else:
+            random.Random(19).shuffle(names)
+        pipe = Pipeline(program, config)
+        for name in names:
+            assert _record_tuple(pipe.run(faults[name])) == \
+                EXPECTED[(*key, name)], (key, name)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("chunk_size", [1, 8, 64])
+def test_pinned_table_through_the_executor(jobs, chunk_size):
+    for key, program, config, faults in _pipelines():
+        names = list(faults)
+        records = CampaignExecutor(
+            program, config, jobs=jobs,
+            chunk_size=chunk_size).run_specs([faults[name]
+                                              for name in names])
+        for name, record in zip(names, records):
+            assert _record_tuple(record) == EXPECTED[(*key, name)], \
+                (key, name)
+
+
+# -- a golden run that flushes the code cache ------------------------------
+
+
+#: SMC_LOOP_SRC runs its loop long enough for rungs on both sides of
+#: the flush its second iteration's self-modifying store triggers.
+SMC_PROGRAM = assemble(SMC_LOOP_SRC.replace("cmpi r5, 3", "cmpi r5, 90"),
+                       name="fork-smc")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_golden_prefix_with_a_cache_flush(backend):
+    config = PipelineConfig("dbt", "rcf", backend=backend)
+    pipe = Pipeline(SMC_PROGRAM, config)
+    loop = next(pc for pc in range(SMC_PROGRAM.text_base,
+                                   SMC_PROGRAM.text_end, 4)
+                if SMC_PROGRAM.instruction_at(pc).op.name == "JL")
+    site = SMC_PROGRAM.symbols["site"]
+    specs = [FaultSpec(loop, occurrence, DirectionFault())
+             for occurrence in (1, 2, 40, 85)]
+    specs += [FaultSpec(loop, 60, RedirectFault(site)),
+              RegisterFaultSpec(icount=5, reg=2, bit=3),
+              # r5 turns negative: the loop runs into the step budget
+              RegisterFaultSpec(icount=700, reg=5, bit=31)]
+    fresh = [fresh_record(pipe, spec) for spec in specs]
+    assert fresh[-1].outcome is Outcome.HANG
+    for order in (specs, specs[::-1]):
+        forked = {id(spec): pipe.run(spec) for spec in order}
+        assert [forked[id(spec)] for spec in specs] == fresh
+    flushes = [rung.translation.flushes for rung in pipe._ladder.rungs]
+    assert flushes[0] == 0 and flushes[-1] >= 1

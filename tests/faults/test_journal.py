@@ -161,7 +161,73 @@ CampaignExecutor(gap, PipelineConfig("dbt", "edgcf"), jobs=2,
 """
 
 
+def _proc_stat(pid) -> list[str] | None:
+    """Fields of /proc/PID/stat after the command name, or None."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii",
+                  errors="replace") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children(pid: int) -> list[int]:
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(entry)
+            if stat is not None and int(stat[1]) == pid:
+                kids.append(int(entry))
+    return kids
+
+
+def _running(pid: int) -> bool:
+    """Not exited (an unreaped zombie has exited)."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _start_killable_campaign(path: str):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = ("src" + os.pathsep + env["PYTHONPATH"]
+                         if env.get("PYTHONPATH") else "src")
+    proc = subprocess.Popen([sys.executable, "-c",
+                             _KILL_RESUME_SCRIPT, path],
+                            cwd=os.path.dirname(os.path.dirname(
+                                os.path.dirname(__file__))),
+                            env=env)
+    # Wait until at least one chunk is journaled but several cannot
+    # be (each remaining chunk still needs >= 0.4s of sleeping).
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        if os.path.exists(path) and len(open(path).readlines()) >= 1:
+            return proc
+        if proc.poll() is not None:
+            pytest.fail("campaign finished before it was killed")
+        time.sleep(0.02)
+    proc.kill()
+    pytest.fail("campaign journaled nothing in 120 s")
+
+
 class TestKillResume:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads worker processes from /proc")
+    def test_sigkill_takes_the_workers_down(self, tmp_path):
+        """Workers of a SIGKILLed jobs=2 campaign exit on their own
+        instead of idling as orphans."""
+        proc = _start_killable_campaign(str(tmp_path / "killed.jsonl"))
+        workers = _children(proc.pid)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and any(map(_running, workers)):
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+
     def test_sigkill_then_resume_matches_uninterrupted(self, gap,
                                                        clean_specs,
                                                        tmp_path):
@@ -177,24 +243,7 @@ class TestKillResume:
             padded.append(spec)
         total_chunks = (len(padded) + 4) // 5
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = ("src" + os.pathsep + env["PYTHONPATH"]
-                             if env.get("PYTHONPATH") else "src")
-        proc = subprocess.Popen([sys.executable, "-c",
-                                 _KILL_RESUME_SCRIPT, path],
-                                cwd=os.path.dirname(os.path.dirname(
-                                    os.path.dirname(__file__))),
-                                env=env)
-        # Kill once at least one chunk is journaled but several cannot
-        # be (each remaining chunk still needs >= 0.4s of sleeping).
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if os.path.exists(path) and \
-                    len(open(path).readlines()) >= 1:
-                break
-            if proc.poll() is not None:
-                pytest.fail("campaign finished before it was killed")
-            time.sleep(0.02)
+        proc = _start_killable_campaign(path)
         proc.send_signal(signal.SIGKILL)
         proc.wait()
 

@@ -1,0 +1,95 @@
+"""Machines are freed by reference counting: with the cycle collector
+off, no run's ``Memory`` outlives the run, on every fresh run path."""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import pytest
+
+from repro.faults import cache as run_cache
+from repro.faults.campaign import (Pipeline,
+                                   enumerate_instrumentation_branch_sites)
+from repro.fuzz import capture
+from repro.machine.memory import Memory
+from tests.faults.test_run_path import (BACKENDS, BRANCH_FAULTS, MT_FAULTS,
+                                        MT_PROGRAM, PROGRAM, _config)
+
+
+@pytest.fixture
+def memories(monkeypatch):
+    """Every Memory built while the test runs, held weakly, with the
+    cycle collector off."""
+    alive = weakref.WeakSet()
+    init = Memory.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.add(self)
+
+    monkeypatch.setattr(Memory, "__init__", tracked)
+    run_cache.clear_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        yield alive
+    finally:
+        gc.enable()
+
+
+LANES = ("native", "static-rcf", "dbt-rcf", "dbt-ecf-df", "mt-native",
+         "mt-static-ecf")
+
+
+def _program(lane):
+    return MT_PROGRAM if lane.startswith("mt-") else PROGRAM
+
+
+def _spec(lane):
+    return (MT_FAULTS if lane.startswith("mt-") else BRANCH_FAULTS)[
+        "direction"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("lane", LANES)
+class TestFreshRuns:
+    def test_golden_run(self, memories, lane, backend):
+        pipe = Pipeline(_program(lane), _config(lane, backend, False))
+        assert pipe.golden is not None
+        assert len(memories) == 0
+
+    def test_recovery_run(self, memories, lane, backend):
+        pipe = Pipeline(_program(lane), _config(lane, backend, True))
+        pipe.run(_spec(lane))
+        pipe.run(None)
+        assert len(memories) == 0
+
+    def test_oracle_capture(self, memories, lane, backend):
+        capture(_program(lane), _config(lane, backend, False))
+        assert len(memories) == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_multithreaded_fault_run(memories, backend):
+    pipe = Pipeline(MT_PROGRAM, _config("mt-static-ecf", backend, False))
+    for spec in MT_FAULTS.values():
+        pipe.run(spec)
+    assert len(memories) == 0
+
+
+def test_cache_site_enumeration(memories):
+    assert enumerate_instrumentation_branch_sites(
+        PROGRAM, _config("dbt-rcf", "block", False))
+    assert len(memories) == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("lane", ("native", "static-rcf", "dbt-rcf"))
+def test_forked_runs_share_one_machine(memories, lane, backend):
+    """Forked runs reuse the pipeline's one machine, which lives as
+    long as the pipeline."""
+    pipe = Pipeline(PROGRAM, _config(lane, backend, False))
+    for spec in BRANCH_FAULTS.values():
+        pipe.run(spec)
+    assert len(memories) == 1
