@@ -15,11 +15,12 @@ from repro.recovery.checkpoint import (Checkpoint, RECOVERABLE_BOUND,
                                        restore_checkpoint)
 from repro.recovery.manager import (DEFAULT_CHECKPOINT_INTERVAL,
                                     DEFAULT_MAX_RETRIES, MIN_INTERVAL,
-                                    RecoveryManager, RecoveryReport)
+                                    RecoveryManager, RecoveryReport,
+                                    ResumePoint)
 
 __all__ = [
     "Checkpoint", "DEFAULT_CHECKPOINT_INTERVAL", "DEFAULT_MAX_RETRIES",
     "MIN_INTERVAL", "RECOVERABLE_BOUND", "RecoveryManager",
-    "RecoveryReport", "capture_checkpoint", "prune_checkpoints",
+    "RecoveryReport", "ResumePoint", "capture_checkpoint", "prune_checkpoints",
     "restore_checkpoint",
 ]

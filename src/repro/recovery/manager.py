@@ -24,7 +24,7 @@ restored, and an entry restart re-primes translation from scratch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.recovery.checkpoint import (capture_checkpoint,
@@ -82,6 +82,23 @@ class RecoveryReport:
         }
 
 
+@dataclass(frozen=True)
+class ResumePoint:
+    """A protected run at one of its checkpoint boundaries: what the
+    manager holds there, so a run rewound to that boundary by other
+    means (:mod:`repro.faults.fork`) resumes as if it had run from the
+    start."""
+
+    #: the live checkpoints, entry first (each run takes copies)
+    checkpoints: tuple
+    #: the current checkpoint interval
+    segment: int
+    #: clean segments since the interval last changed
+    clean_streak: int
+    #: checkpoints captured so far, the entry excluded
+    captured: int
+
+
 class RecoveryManager:
     """Checkpoint/rollback harness around one protected run."""
 
@@ -112,6 +129,15 @@ class RecoveryManager:
         self.max_live = max_live
         self.checkpoints: list = []
         self.report = RecoveryReport(interval=self.interval)
+        #: the current checkpoint interval (halved after a rollback,
+        #: doubled after GROW_AFTER clean segments in a row)
+        self.segment = self.interval
+        self.clean_streak = 0
+        #: icount the current attempt's step budget counts from
+        self.attempt_base = 0
+        #: pages the run wrote or rolled back, as of the last capture or
+        #: rollback (the open interval is ``Memory.cow``)
+        self.touched: set = set()
 
     # -- injector occurrence state ------------------------------------
 
@@ -129,19 +155,72 @@ class RecoveryManager:
 
     # -- the loop ------------------------------------------------------
 
-    def execute(self):
-        """Run to completion (or give up); returns the final stop."""
+    def execute(self, resume: ResumePoint | None = None, visits=None):
+        """Run to completion (or give up); returns the final stop.
+
+        ``resume`` continues a run the machine was rewound to at one of
+        its checkpoint boundaries instead of starting at the entry;
+        ``visits(icount)`` then tells how often the injector's site ran
+        before ``icount``, the occurrence count each resumed checkpoint
+        records."""
         mem = self.cpu.memory
         mem.cow = {}
         mem.cow_bound = RECOVERABLE_BOUND
         try:
-            return self._execute()
+            return self._execute(resume, visits)
         finally:
+            self.touched.update(mem.cow or ())
             mem.cow = None
+
+    def begin(self) -> None:
+        """Capture the entry checkpoint (ordinal 0, not counted)."""
+        self._capture()
+        self.report.checkpoints = 0
+        self.attempt_base = self.cpu.icount
+
+    def checkpoint(self) -> None:
+        """A clean segment ended with budget left: capture a checkpoint,
+        and double the interval after a streak of them."""
+        self._capture()
+        self.report.checkpoints += 1
+        self.clean_streak += 1
+        if self.clean_streak >= GROW_AFTER:
+            self.segment = min(self.segment * 2,
+                               self.interval * MAX_GROWTH)
+            self.clean_streak = 0
+
+    def resume_point(self) -> ResumePoint:
+        """The manager as it stands, for :meth:`execute` to resume."""
+        return ResumePoint(
+            checkpoints=tuple(replace(cp) for cp in self.checkpoints),
+            segment=self.segment, clean_streak=self.clean_streak,
+            captured=self.report.checkpoints)
+
+    def _resume(self, point: ResumePoint, visits) -> None:
+        unfired = self._injector_mark() is not None
+        self.checkpoints = [
+            replace(cp, injector_state=((visits(cp.icount), False, None,
+                                         None) if unfired else None))
+            for cp in point.checkpoints]
+        self.segment = point.segment
+        self.clean_streak = point.clean_streak
+        self.report.checkpoints = point.captured
+        self.attempt_base = self.checkpoints[0].icount
+
+    def attempt_end(self) -> int:
+        """The icount at which the current attempt's budget runs out."""
+        return self.attempt_base + self.budget
+
+    def dirtied(self) -> set:
+        """Every page the run has written or rolled back so far."""
+        cow = self.cpu.memory.cow
+        return self.touched.union(cow) if cow else set(self.touched)
 
     def _capture(self) -> None:
         registry = obs.get_registry()
-        pages = len(self.cpu.memory.cow)
+        cow = self.cpu.memory.cow
+        pages = len(cow)
+        self.touched.update(cow)
         start = time.perf_counter() if registry is not None else 0.0
         self.checkpoints.append(capture_checkpoint(
             self.cpu, ordinal=len(self.checkpoints), epoch=self.epoch(),
@@ -176,6 +255,9 @@ class RecoveryManager:
         cp = self.checkpoints[index]
         distance = cpu.icount - cp.icount
         discarded = cpu.cycles - cp.cycles
+        self.touched.update(cpu.memory.cow)
+        for later in self.checkpoints[index + 1:]:
+            self.touched.update(later.pages)
         restore_checkpoint(cpu, self.checkpoints, index)
         if self.extra_restore is not None and cp.extra is not None:
             self.extra_restore(cp.extra)
@@ -212,35 +294,28 @@ class RecoveryManager:
             "discarded_cycles": discarded,
         })
 
-    def _execute(self):
+    def _execute(self, resume, visits):
         cpu = self.cpu
-        self._capture()  # ordinal 0: the entry checkpoint
-        self.report.checkpoints = 0  # entry does not count
-        interval = self.interval
-        max_interval = self.interval * MAX_GROWTH
-        clean_streak = 0
-        attempt_base = cpu.icount
+        if resume is None:
+            self.begin()
+        else:
+            self._resume(resume, visits)
         stopish = None
         while True:
-            remaining = self.budget - (cpu.icount - attempt_base)
+            remaining = self.attempt_end() - cpu.icount
             trigger = None
             if remaining <= 0:
                 trigger = "watchdog"
             else:
-                stopish = self.step(min(interval, remaining))
+                stopish = self.step(min(self.segment, remaining))
                 kind = self.classify(stopish)
                 if kind == "done":
                     return stopish
                 if kind == "detected":
                     trigger = "detected"
-                elif self.budget - (cpu.icount - attempt_base) > 0:
+                elif self.attempt_end() - cpu.icount > 0:
                     # Segment boundary with budget left: checkpoint.
-                    self._capture()
-                    self.report.checkpoints += 1
-                    clean_streak += 1
-                    if clean_streak >= GROW_AFTER:
-                        interval = min(interval * 2, max_interval)
-                        clean_streak = 0
+                    self.checkpoint()
                     continue
                 else:
                     trigger = "watchdog"
@@ -262,6 +337,6 @@ class RecoveryManager:
                 })
                 return stopish
             self._rollback(trigger)
-            interval = max(MIN_INTERVAL, interval // 2)
-            clean_streak = 0
-            attempt_base = cpu.icount
+            self.segment = max(MIN_INTERVAL, self.segment // 2)
+            self.clean_streak = 0
+            self.attempt_base = cpu.icount

@@ -55,6 +55,16 @@ class TestTranslationMechanics:
         cfg = build_cfg(diamond_program)
         assert result.translated_blocks < len(cfg)
 
+    def test_translated_blocks_counts_this_run_call(self, sum_loop):
+        """A run segment inside the loop translates nothing new."""
+        from repro.dbt import Dbt
+        dbt = Dbt(sum_loop)
+        first = dbt.run(max_steps=10)
+        assert first.translated_blocks == len(dbt.blocks) > 0
+        second = dbt.run(max_steps=10)
+        assert second.stop.reason.value == "step_limit"
+        assert second.translated_blocks == 0
+
     def test_blocks_live_in_cache(self, sum_loop):
         dbt, _ = run_dbt(sum_loop)
         for tb in dbt.blocks.values():

@@ -60,10 +60,12 @@ class TestFreshRuns:
         assert len(memories) == 0
 
     def test_recovery_run(self, memories, lane, backend):
+        """Native and static recovery runs fork: the pipeline's one
+        forked-run machine is all that outlives them."""
         pipe = Pipeline(_program(lane), _config(lane, backend, True))
         pipe.run(_spec(lane))
         pipe.run(None)
-        assert len(memories) == 0
+        assert len(memories) == (lane in ("native", "static-rcf"))
 
     def test_oracle_capture(self, memories, lane, backend):
         capture(_program(lane), _config(lane, backend, False))

@@ -178,3 +178,84 @@ class TestIntervalAdaptation:
             budget=1_000_000, interval=MIN_INTERVAL, max_live=4)
         manager.execute()
         assert len(manager.checkpoints) <= 4
+
+
+#: Stores once, to the data page, then only counts.
+STORE_THEN_LOOP_SRC = """
+.entry main
+main:
+    const r5, cell
+    movi r6, 7
+    st r6, r5, 0
+    movi r1, 0
+loop:
+    addi r1, r1, 1
+    cmpi r1, 400
+    jl loop
+    syscall 4
+    movi r1, 0
+    syscall 0
+.data
+cell:
+    .word 0
+"""
+
+
+class TestResume:
+    """A manager resumed at a checkpoint boundary of another run."""
+
+    @staticmethod
+    def _boundary(cpu, boundaries: int):
+        """Drive a manager over ``cpu`` through clean boundaries, as
+        the golden-run walk does; returns its resume point."""
+        cpu.memory.cow = {}
+        walker = RecoveryManager(cpu, step=None, classify=None,
+                                 budget=None, interval=MIN_INTERVAL)
+        walker.begin()
+        for _ in range(boundaries):
+            cpu.run(max_steps=walker.segment)
+            walker.checkpoint()
+        return walker.resume_point()
+
+    def test_resumed_run_matches_a_run_from_the_entry(self):
+        program = assemble(STORE_THEN_LOOP_SRC)
+        whole = _cpu(program)
+        whole_manager = RecoveryManager(
+            whole, step=lambda n: whole.run(max_steps=n),
+            classify=_classify_scripted(whole, [500, 600], None),
+            budget=100_000, interval=MIN_INTERVAL)
+        whole_manager.execute()
+
+        cpu = _cpu(program)
+        point = self._boundary(cpu, 3)
+        assert point.captured == 3 and cpu.icount == 3 * MIN_INTERVAL
+        manager = RecoveryManager(
+            cpu, step=lambda n: cpu.run(max_steps=n),
+            classify=_classify_scripted(cpu, [500, 600], None),
+            budget=100_000, interval=MIN_INTERVAL)
+        manager.execute(point)
+        assert (cpu.icount, cpu.cycles, cpu.output) == (
+            whole.icount, whole.cycles, whole.output)
+        assert manager.report.to_json() == whole_manager.report.to_json()
+
+    def test_rollback_past_the_resume_point_counts_its_pages(self):
+        """The restart from the entry rewrites the page the run stored
+        to before it was resumed: the manager reports it dirtied before
+        the re-execution stores to it again."""
+        program = assemble(STORE_THEN_LOOP_SRC)
+        cpu = _cpu(program)
+        point = self._boundary(cpu, 2)
+        restarted = []
+
+        def step(n):
+            if cpu.icount == 0:
+                restarted.append(manager.dirtied())
+            return cpu.run(max_steps=n)
+
+        manager = RecoveryManager(
+            cpu, step=step,
+            classify=_classify_scripted(cpu, [200, 210], None),
+            budget=100_000, interval=MIN_INTERVAL)
+        manager.execute(point)
+        assert manager.report.restarts == 1
+        assert program.symbols["cell"] >> 12 in restarted[0]
