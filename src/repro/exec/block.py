@@ -245,26 +245,44 @@ class BlockCompileBackend:
             self._kill(frozenset(dead))
 
     def _kill(self, starts) -> None:
-        word_map = self.word_map
-        blocks = self.blocks
         for start in starts:
             self.rewritten_pages.add(start >> 12)
-            block = blocks.pop(start, None)
-            if block is None:
-                continue
-            block.alive = False
-            for waddr in block.words:
-                s = word_map.get(waddr)
-                if s is not None:
-                    s.discard(start)
-                    if not s:
-                        del word_map[waddr]
+            self._drop(start)
         # Chained successors bypass the dict lookup, so drop every link.
-        for block in blocks.values():
+        for block in self.blocks.values():
             if block.links:
                 block.links.clear()
         self.epoch += 1
         self.invalidations += len(starts)
+
+    def _drop(self, start: int) -> None:
+        block = self.blocks.pop(start, None)
+        if block is None:
+            return
+        block.alive = False
+        word_map = self.word_map
+        for waddr in block.words:
+            s = word_map.get(waddr)
+            if s is not None:
+                s.discard(start)
+                if not s:
+                    del word_map[waddr]
+
+    def retain(self, starts) -> None:
+        """Drop every compiled block whose start is not in ``starts``,
+        and the chain links into those blocks.  Between runs only: a
+        forked fault run's machine goes back to the blocks its golden
+        run compiled (:mod:`repro.faults.fork`)."""
+        extra = self.blocks.keys() - starts
+        if not extra:
+            return
+        for start in extra:
+            self._drop(start)
+        for block in self.blocks.values():
+            links = block.links
+            if links and not extra.isdisjoint(links):
+                for pc in extra.intersection(links):
+                    del links[pc]
 
     def _on_perms_changed(self, start: int, length: int) -> None:
         # Permission changes can grant or revoke X on compiled pages;
