@@ -39,8 +39,11 @@ __all__ = [
     "CFCSS", "ECCA", "ECF", "EdgCF", "NaiveEdgeCF", "RCF",
     "SHADOW_BASE", "DataFlowDuplication",
     "ALL_POLICIES", "Policy",
-    "CfcssSignatures", "EccaSignatures",
+    "CfcssSignatures", "EccaSignatures", "TECHNIQUES",
 ]
+
+#: The names :func:`make_technique` builds.
+TECHNIQUES = ("ecf", "edgcf", "rcf", "cfcss", "ecca", "edgcf-naive")
 
 
 def make_technique(name: str, update_style: UpdateStyle = UpdateStyle.JCC,

@@ -61,7 +61,8 @@ from repro import obs
 from repro.isa import assemble, disassemble_program
 from repro.isa.program import Program
 from repro.machine import run_native
-from repro.checking import Policy, UpdateStyle, make_technique
+from repro.checking import (TECHNIQUES, Policy, UpdateStyle,
+                            make_technique)
 from repro.dbt import Dbt
 from repro.instrument import instrument_program
 
@@ -180,130 +181,22 @@ def _parse_fault_spec(program, args, token):
         raise SystemExit(str(exc))
 
 
-def _check_journal_backend(args) -> int:
-    """Record the backend in fresh journals; refuse resume mismatch.
-
-    Returns a non-zero exit status on mismatch, 0 to proceed.
-    """
-    if not args.journal:
-        return 0
-    from repro.faults.journal import CampaignJournal
-    journal = CampaignJournal(args.journal)
-    if args.resume:
-        header = journal.read_header()
-        if header is None:
-            return 0
-        recorded = header.get("backend", "interp")
-        if recorded != args.backend:
-            print(f"error: journal {args.journal} was recorded with "
-                  f"--backend {recorded}; resuming with --backend "
-                  f"{args.backend} would silently re-run every chunk "
-                  "(config keys differ). Pass the matching backend.",
-                  file=sys.stderr)
-            return 2
-        status = _check_journal_scheduler(args, header)
-        if status:
-            return status
-    return 0
-
-
-def _check_journal_scheduler(args, header: dict) -> int:
-    """Refuse ``--resume`` when scheduler parameters disagree.
-
-    The schedule — and therefore every journaled record — is a pure
-    function of (quantum, policy, seed, sig_swap): a mismatched resume
-    would silently re-run every chunk under a different interleaving.
-    """
-    if not getattr(args, "threads", False) and not header.get("threads"):
-        return 0
-    from repro.threads import DEFAULT_QUANTUM
-    wanted = {
-        "threads": bool(getattr(args, "threads", False)),
-        "quantum": getattr(args, "quantum", None) or DEFAULT_QUANTUM,
-        "sched_policy": getattr(args, "sched_policy", "rr"),
-        "sched_seed": getattr(args, "sched_seed", 0),
-        "sig_swap": not getattr(args, "no_sig_swap", False),
-    }
-    recorded = {
-        "threads": bool(header.get("threads", False)),
-        "quantum": header.get("quantum", DEFAULT_QUANTUM),
-        "sched_policy": header.get("sched_policy", "rr"),
-        "sched_seed": header.get("sched_seed", 0),
-        "sig_swap": header.get("sig_swap", True),
-    }
-    if not recorded["threads"]:
-        recorded = {key: wanted[key] if key != "threads" else False
-                    for key in wanted}
-    mismatched = [key for key in wanted if wanted[key] != recorded[key]]
-    if mismatched:
-        detail = ", ".join(
-            f"{key}: journal={recorded[key]!r} vs {wanted[key]!r}"
-            for key in mismatched)
-        print(f"error: journal {args.journal} was recorded with "
-              f"different scheduler parameters ({detail}); the "
-              "schedule would not replay and every chunk would "
-              "silently re-run. Pass the matching --threads/--quantum/"
-              "--sched-policy/--sched-seed/--no-sig-swap flags.",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
-def _mt_kwargs(args) -> dict:
-    """PipelineConfig multithreading fields from --threads family."""
-    if not getattr(args, "threads", False):
-        return {}
-    from repro.threads import DEFAULT_QUANTUM
-    return {"threads": True,
-            "quantum": getattr(args, "quantum", None) or DEFAULT_QUANTUM,
-            "sched_policy": getattr(args, "sched_policy", "rr"),
-            "sched_seed": getattr(args, "sched_seed", 0),
-            "sig_swap": not getattr(args, "no_sig_swap", False)}
-
-
-def _recovery_kwargs(args) -> dict:
-    """PipelineConfig recovery fields from --recover family flags."""
-    if not getattr(args, "recover", False):
-        return {}
-    kwargs = {"recover": True}
-    if args.checkpoint_interval is not None:
-        kwargs["checkpoint_interval"] = args.checkpoint_interval
-    if args.max_retries is not None:
-        kwargs["max_retries"] = args.max_retries
-    return kwargs
-
-
 def cmd_inject(args) -> int:
     """Run one or more injected faults (repeat --fault for a batch);
     --jobs fans a batch out over worker processes."""
     from repro.faults import CampaignExecutor, Outcome, PipelineConfig
+    from repro.faults.journal import CampaignJournal, inject_header
     program = _load_program(args.file)
-    status = _check_journal_backend(args)
-    if status:
-        return status
-    mt_kwargs = _mt_kwargs(args)
-    if args.journal and not args.resume:
-        from repro.faults.journal import CampaignJournal, inject_header
-        CampaignJournal(args.journal).append_header(
-            inject_header(args.technique, args.policy, args.backend,
-                          recover=args.recover,
-                          threads=mt_kwargs.get("threads", False),
-                          quantum=mt_kwargs.get("quantum", 0),
-                          sched_policy=mt_kwargs.get("sched_policy",
-                                                     "rr"),
-                          sched_seed=mt_kwargs.get("sched_seed", 0),
-                          sig_swap=mt_kwargs.get("sig_swap", True)))
     specs = [_parse_fault_spec(program, args, token)
              for token in args.fault]
-    # The multithreaded machine runs on the native/static pipelines
-    # (the DBT tier does not context-switch translated state).
-    pipeline = "dbt"
-    if mt_kwargs:
-        pipeline = "static" if args.technique else "native"
-    config = PipelineConfig(pipeline, args.technique,
-                            Policy(args.policy), dataflow=args.dataflow,
-                            backend=args.backend,
-                            **_recovery_kwargs(args), **mt_kwargs)
+    try:
+        config = PipelineConfig.from_params(vars(args))
+        if args.journal:
+            CampaignJournal(args.journal).start(inject_header(config),
+                                                args.resume)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     trace_ctx = None
     if args.journal:
         # Deterministic trace id from the same (program, config)
@@ -451,14 +344,15 @@ def cmd_coverage(args) -> int:
         from repro.forensics import bundle_path_for
         forensics_path = bundle_path_for(args.journal)
     print(f"effective seed: {args.seed}")
-    status = _check_journal_backend(args)
-    if status:
-        return status
-    if args.journal and not args.resume:
-        from repro.faults.journal import (CampaignJournal,
-                                          coverage_header)
-        CampaignJournal(args.journal).append_header(
-            coverage_header(args.seed, args.per_category, args.backend))
+    if args.journal:
+        from repro.faults.journal import CampaignJournal, coverage_header
+        try:
+            CampaignJournal(args.journal).start(
+                coverage_header(args.seed, args.per_category,
+                                args.backend), args.resume)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     matrix = compute_coverage_matrix(
         program, per_category=args.per_category, seed=args.seed,
         include_cache_level=not args.no_cache_level, jobs=args.jobs,
@@ -539,6 +433,7 @@ def cmd_fuzz(args) -> int:
 def cmd_explain(args) -> int:
     """Replay one fault against the golden trace and explain it."""
     from repro.faults import PipelineConfig
+    from repro.faults.cache import config_from_key
     from repro.forensics import (bundle_path_for, explain_spec,
                                  read_bundle, spec_from_json)
     program = _load_program(args.file)
@@ -567,47 +462,18 @@ def cmd_explain(args) -> int:
                   f"{path} (have: {known})", file=sys.stderr)
             return 1
         spec = spec_from_json(entry["spec"])
-        pipeline, technique, policy, update, dataflow, *rest = \
-            entry["config"]
-        # Extended key segments appended by optional subsystems:
-        # [backend] ["rec", interval, retries] ["mt", quantum,
-        # policy, seed, sig_swap].
-        extra = {}
-        tail = list(rest[1:])
-        while tail:
-            if tail[0] == "rec" and len(tail) >= 3:
-                extra.update(recover=True,
-                             checkpoint_interval=tail[1],
-                             max_retries=tail[2])
-                tail = tail[3:]
-            elif tail[0] == "mt" and len(tail) >= 5:
-                extra.update(threads=True, quantum=tail[1],
-                             sched_policy=tail[2], sched_seed=tail[3],
-                             sig_swap=bool(tail[4]))
-                tail = tail[5:]
-            else:
-                break
-        config = PipelineConfig(pipeline, technique, Policy(policy),
-                                UpdateStyle(update), dataflow,
-                                backend=rest[0] if rest else "interp",
-                                **extra)
+        config = config_from_key(entry["config"])
     else:
         if not args.fault:
             print("error: give --fault (inline spec) or "
                   "--bundle/--journal (+ --index)", file=sys.stderr)
             return 1
         spec = _parse_fault_spec(program, args, args.fault)
-        mt_kwargs = _mt_kwargs(args)
-        pipeline = args.pipeline
-        if mt_kwargs and pipeline == "dbt":
-            pipeline = "static" if args.technique else "native"
-        config = PipelineConfig(pipeline, args.technique,
-                                Policy(args.policy),
-                                UpdateStyle(args.update),
-                                dataflow=args.dataflow,
-                                backend=getattr(args, "backend",
-                                                "interp"),
-                                **_recovery_kwargs(args), **mt_kwargs)
+        try:
+            config = PipelineConfig.from_params(vars(args))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     _, _, text = explain_spec(program, config, spec)
     print(text)
     return 0
@@ -868,8 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common_exec(p):
         p.add_argument("file", help="assembly source file")
         p.add_argument("--technique", "-t", default=None,
-                       choices=["ecf", "edgcf", "rcf", "cfcss", "ecca",
-                                "edgcf-naive"])
+                       choices=list(TECHNIQUES))
         p.add_argument("--policy", default="allbb",
                        choices=[p.value for p in Policy])
         p.add_argument("--update", default="jcc",

@@ -55,14 +55,37 @@ def config_key(config) -> tuple:
     from before each subsystem existed remain byte-identical.
     """
     key = (config.pipeline, config.technique, config.policy.value,
-           config.update_style.value, config.dataflow,
-           getattr(config, "backend", "interp"))
-    if getattr(config, "recover", False):
+           config.update_style.value, config.dataflow, config.backend)
+    if config.recover:
         key += ("rec", config.checkpoint_interval, config.max_retries)
-    if getattr(config, "threads", False):
+    if config.threads:
         key += ("mt", config.quantum, config.sched_policy,
                 config.sched_seed, int(config.sig_swap))
     return key
+
+
+def config_from_key(key):
+    """The PipelineConfig whose :func:`config_key` is ``key`` (a tuple,
+    or the list a journal or forensics bundle stores)."""
+    from repro.checking import Policy, UpdateStyle
+    from repro.faults.campaign import PipelineConfig
+    pipeline, technique, policy, update, dataflow, backend, *tail = key
+    fields = {}
+    while tail:
+        if tail[0] == "rec":
+            _, interval, retries, *tail = tail
+            fields.update(recover=True, checkpoint_interval=interval,
+                          max_retries=retries)
+        elif tail[0] == "mt":
+            _, quantum, sched_policy, sched_seed, sig_swap, *tail = tail
+            fields.update(threads=True, quantum=quantum,
+                          sched_policy=sched_policy,
+                          sched_seed=sched_seed, sig_swap=bool(sig_swap))
+        else:
+            raise ValueError(f"unknown config key segment {tail[0]!r}")
+    return PipelineConfig(pipeline, technique, Policy(policy),
+                          UpdateStyle(update), dataflow, backend,
+                          **fields)
 
 
 def campaign_key(program, config) -> tuple[str, tuple]:

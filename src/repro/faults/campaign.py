@@ -197,6 +197,79 @@ class PipelineConfig:
                 label += "-sigswap"
         return label
 
+    @classmethod
+    def from_params(cls, params: dict) -> PipelineConfig:
+        """The config that flag-style input asks for: a CLI namespace
+        (``vars(args)``) or a service job's JSON params.
+
+        Keys are the CLI flag names; an absent or ``None`` value takes
+        the default and keys that are no config input are ignored.  The
+        recovery and scheduler knobs only count while ``recover`` or
+        ``threads`` is on, but they are validated either way.  Raises
+        ValueError naming the first bad value.
+        """
+        from repro.checking import TECHNIQUES
+        from repro.exec import BACKEND_NAMES
+        from repro.threads import POLICIES
+
+        def get(key, default):
+            value = params.get(key)
+            return default if value is None else value
+
+        def choice(key, default, allowed):
+            value = get(key, default)
+            if value not in allowed:
+                raise ValueError(f"unknown {key} {value!r}; expected one "
+                                 f"of {', '.join(map(str, allowed))}")
+            return value
+
+        def flag(key):
+            value = get(key, False)
+            if not isinstance(value, bool):
+                raise ValueError(f"{key} must be a boolean, not "
+                                 f"{value!r}")
+            return value
+
+        def integer(key, default, least=None):
+            value = get(key, default)
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or (least is not None and value < least)):
+                bound = "" if least is None else f" >= {least}"
+                raise ValueError(f"{key} must be an integer{bound}, "
+                                 f"not {value!r}")
+            return value
+
+        technique = choice("technique", None, (None, *TECHNIQUES))
+        pipeline = choice("pipeline", cls.pipeline,
+                          ("native", "static", "dbt"))
+        fields = {}
+        recovery = {"checkpoint_interval": integer(
+                        "checkpoint_interval", cls.checkpoint_interval, 1),
+                    "max_retries": integer("max_retries",
+                                           cls.max_retries, 0)}
+        if flag("recover"):
+            fields.update(recover=True, **recovery)
+        scheduler = {"quantum": integer("quantum", cls.quantum, 1),
+                     "sched_policy": choice("sched_policy",
+                                            cls.sched_policy, POLICIES),
+                     "sched_seed": integer("sched_seed", cls.sched_seed),
+                     "sig_swap": not flag("no_sig_swap")}
+        if flag("threads"):
+            fields.update(threads=True, **scheduler)
+            # The DBT does not context-switch translated state, so the
+            # multithreaded machine runs the program natively or
+            # statically rewritten.
+            if pipeline == "dbt":
+                pipeline = "static" if technique else "native"
+        return cls(pipeline, technique,
+                   Policy(choice("policy", cls.policy.value,
+                                 [p.value for p in Policy])),
+                   UpdateStyle(choice("update", cls.update_style.value,
+                                      [u.value for u in UpdateStyle])),
+                   flag("dataflow"),
+                   choice("backend", cls.backend, BACKEND_NAMES),
+                   **fields)
+
 
 @dataclass
 class Run:

@@ -6,7 +6,7 @@ chunk as one JSON line::
 
     {"v": 1,
      "program": "<sha256 of the loadable image>",
-     "config":  ["dbt", "rcf", "allbb", "jcc", false],
+     "config":  ["dbt", "rcf", "allbb", "jcc", false, "interp"],
      "chunk":   3,
      "specs":   ["1f0c…", …],      # per-spec content digests
      "records": [{…}, …]}          # serialized RunRecords
@@ -25,11 +25,13 @@ to the uninterrupted run's.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
 import os
 
+from repro.faults.cache import config_from_key, config_key
 from repro.faults.campaign import Outcome, RunRecord
 
 log = logging.getLogger(__name__)
@@ -42,27 +44,25 @@ def spec_digest(spec) -> str:
     return hashlib.sha256(repr(spec).encode()).hexdigest()[:16]
 
 
-def inject_header(technique: str | None, policy: str, backend: str,
-                  recover: bool = False, threads: bool = False,
-                  quantum: int = 0, sched_policy: str = "rr",
-                  sched_seed: int = 0, sig_swap: bool = True) -> dict:
-    """The ``repro inject`` journal header.
+def inject_header(config) -> dict:
+    """The ``repro inject`` journal header for ``config``.
 
     Shared by the CLI and the campaign service so a service inject
     job's journal is byte-identical to the CLI's for the same campaign.
-    The scheduler block only appears on multithreaded campaigns, so
-    pre-MT journals keep their exact header shape; ``--resume`` refuses
-    a journal whose scheduler parameters disagree with the command line
-    (the schedule — and therefore every record — would not replay).
+    The readable fields are for people (the scheduler block only on
+    multithreaded campaigns); ``config`` is the campaign's
+    :func:`~repro.faults.cache.config_key`, the identity that
+    :meth:`CampaignJournal.start` checks on resume.
     """
-    header = {"tool": "repro-inject", "technique": technique,
-              "policy": policy, "backend": backend, "recover": recover}
-    if threads:
-        header["threads"] = True
-        header["quantum"] = quantum
-        header["sched_policy"] = sched_policy
-        header["sched_seed"] = sched_seed
-        header["sig_swap"] = sig_swap
+    header = {"tool": "repro-inject", "technique": config.technique,
+              "policy": config.policy.value, "backend": config.backend,
+              "recover": config.recover}
+    if config.threads:
+        header.update(threads=True, quantum=config.quantum,
+                      sched_policy=config.sched_policy,
+                      sched_seed=config.sched_seed,
+                      sig_swap=config.sig_swap)
+    header["config"] = list(config_key(config))
     return header
 
 
@@ -70,6 +70,30 @@ def coverage_header(seed: int, per_category: int, backend: str) -> dict:
     """The ``repro coverage`` journal header (CLI/service shared)."""
     return {"tool": "repro-coverage", "seed": seed,
             "per_category": per_category, "backend": backend}
+
+
+def _header_diff(recorded: dict, wanted: dict) -> list[str]:
+    """One ``name: journal X, now Y`` line per differing header entry.
+
+    A differing ``config`` is named by PipelineConfig field, decoding
+    both keys; the readable entries derive from the config and carry
+    the same names, so they add nothing once it has been decoded.
+    """
+    diffs = {}
+    old, new = recorded.get("config"), wanted.get("config")
+    if old and new and old != new:
+        old, new = config_from_key(old), config_from_key(new)
+        for field in dataclasses.fields(old):
+            before = getattr(old, field.name)
+            after = getattr(new, field.name)
+            if before != after:
+                diffs[field.name] = (getattr(before, "value", before),
+                                     getattr(after, "value", after))
+    for key in {**recorded, **wanted}:
+        if key != "config" and recorded.get(key) != wanted.get(key):
+            diffs.setdefault(key, (recorded.get(key), wanted.get(key)))
+    return [f"{key}: journal {before!r}, now {after!r}"
+            for key, (before, after) in diffs.items()]
 
 
 def record_to_json(record: RunRecord) -> dict:
@@ -115,15 +139,44 @@ class CampaignJournal:
     def append_header(self, meta: dict) -> None:
         """Durably record run metadata (effective seed, CLI knobs, ...).
 
-        Header lines carry no ``program``/``config`` identity, so
-        :meth:`replay` skips them naturally; they exist for humans and
-        tooling to reconstruct the exact command that produced the file.
+        Header lines carry no top-level ``program``/``config``
+        identity, so :meth:`replay` skips them naturally; they exist for
+        :meth:`start`'s resume check and for humans and tooling to
+        reconstruct the exact command that produced the file.
         """
         entry = {"v": JOURNAL_VERSION, "header": dict(meta)}
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
+
+    def start(self, header: dict, resume: bool) -> None:
+        """Begin (``resume=False``) or continue a campaign under
+        ``header``.
+
+        A fresh run, or a resume of a journal that holds no header yet,
+        appends ``header``.  A resume otherwise compares the recorded
+        header with ``header`` and raises ValueError naming every entry
+        that differs: chunks only replay under their own config, so a
+        resume under another one would silently re-run and re-append
+        every chunk.
+        """
+        recorded = self.read_header() if resume else None
+        if recorded is None:
+            self.append_header(header)
+            return
+        if "config" in header and "config" not in recorded:
+            raise ValueError(
+                f"journal {self.path} has a header written before "
+                "journals recorded their config, so this resume cannot "
+                "be checked against it; rerun without --resume")
+        diffs = _header_diff(recorded, header)
+        if diffs:
+            raise ValueError(
+                f"journal {self.path} was recorded with a different "
+                f"configuration ({'; '.join(diffs)}); resuming would "
+                "silently re-run every chunk. Pass the matching flags, "
+                "or rerun without --resume")
 
     # -- reading -------------------------------------------------------------
 

@@ -164,14 +164,11 @@ def capture_threaded(program: Program, technique: str | None = None,
     captures only compare equal when every preemption landed on the
     same (icount, tid) — the cross-backend MT parity claim.
     """
-    from repro.threads import DEFAULT_QUANTUM
-    config = PipelineConfig("static" if technique else "native",
-                            technique, policy, backend=backend,
-                            threads=True,
-                            quantum=(DEFAULT_QUANTUM if quantum is None
-                                     else quantum),
-                            sched_policy=sched_policy,
-                            sched_seed=sched_seed, sig_swap=sig_swap)
+    config = PipelineConfig.from_params(
+        {"technique": technique, "policy": policy.value,
+         "backend": backend, "threads": True, "quantum": quantum,
+         "sched_policy": sched_policy, "sched_seed": sched_seed,
+         "no_sig_swap": not sig_swap})
     return capture(program, config, max_steps)
 
 

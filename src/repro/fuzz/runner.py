@@ -282,22 +282,19 @@ class FuzzReport:
 # -- failure handling (parent process, deterministic) ------------------------
 
 
-def _transparency_predicate(config: FuzzConfig, label: str,
+def _transparency_predicate(config: FuzzConfig, source: str, label: str,
                             crash: bool):
-    """Candidate still diverges under the originally-failing config.
+    """Candidate still diverges under the originally-failing config
+    (the one labelled ``label`` among the failing ``source``'s).
 
     The failure *mode* must be preserved: a genuine behavioural
     divergence may not degrade into an instrumentation crash mid-shrink
     (dropping lines can leave dead code the rewriter rejects), or the
     minimizer would chase an unrelated, easier failure.
     """
-    from repro.faults.campaign import PipelineConfig
-    label, _, backend = label.partition("@")
-    pipeline, technique, policy = label.split("/")
-    pipe_config = PipelineConfig(pipeline,
-                                 None if technique == "none" else technique,
-                                 Policy(policy),
-                                 backend=backend or "interp")
+    configs = transparency_configs(assemble(source), config.techniques,
+                                   config.policies, backend=config.backend)
+    pipe_config = next(c for c in configs if c.label() == label)
 
     def predicate(source: str) -> bool:
         try:
@@ -424,7 +421,7 @@ def _handle_failure(index: int, verdict: dict, config: FuzzConfig,
         detail = json.dumps(verdict["transparency"])
         first = verdict["transparency"][0]
         predicate = _transparency_predicate(
-            config, first["label"], first.get("crash", False))
+            config, source, first["label"], first.get("crash", False))
     elif kind == "recovery":
         source = generate_source(config.detect_seed(index),
                                  config.detect_knobs)

@@ -25,8 +25,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.checking import TECHNIQUES
+
 KINDS = ("inject", "coverage", "fuzz", "verify", "profile")
-TECHNIQUES = ("ecf", "edgcf", "rcf", "cfcss", "ecca", "edgcf-naive")
 
 
 class JobStatus(str, enum.Enum):
@@ -81,46 +82,6 @@ def _assemble(spec_program: str, name: str):
         return assemble(spec_program, name=name)
     except Exception as exc:
         raise ValueError(f"program does not assemble: {exc}") from exc
-
-
-def build_pipeline_config(params: dict):
-    """PipelineConfig from job params (CLI-flag defaults)."""
-    from repro.checking import Policy, UpdateStyle
-    from repro.faults import PipelineConfig
-    technique = params.get("technique")
-    _require(technique is None or technique in TECHNIQUES,
-             f"unknown technique {technique!r}")
-    try:
-        policy = Policy(params.get("policy", "allbb"))
-        update = UpdateStyle(params.get("update", "jcc"))
-    except ValueError as exc:
-        raise ValueError(str(exc)) from exc
-    kwargs = {}
-    if params.get("recover"):
-        kwargs["recover"] = True
-        if params.get("checkpoint_interval") is not None:
-            kwargs["checkpoint_interval"] = \
-                int(params["checkpoint_interval"])
-        if params.get("max_retries") is not None:
-            kwargs["max_retries"] = int(params["max_retries"])
-    pipeline = "dbt"
-    if params.get("threads"):
-        from repro.threads import DEFAULT_QUANTUM, POLICIES
-        sched_policy = params.get("sched_policy", "rr")
-        _require(sched_policy in POLICIES,
-                 f"unknown scheduler policy {sched_policy!r}")
-        kwargs.update(
-            threads=True,
-            quantum=int(params.get("quantum", DEFAULT_QUANTUM)),
-            sched_policy=sched_policy,
-            sched_seed=int(params.get("sched_seed", 0)),
-            sig_swap=not params.get("no_sig_swap", False))
-        # The DBT does not thread; mirror the CLI's pipeline choice.
-        pipeline = "static" if technique else "native"
-    return PipelineConfig(pipeline, technique, policy, update,
-                          dataflow=bool(params.get("dataflow", False)),
-                          backend=params.get("backend", "interp"),
-                          **kwargs)
 
 
 def build_fuzz_config(params: dict):
@@ -185,6 +146,7 @@ def validate_spec(payload) -> JobSpec:
     _require(isinstance(jobs, int) and 0 <= jobs <= 64,
              "params.jobs must be an integer in [0, 64]")
     from repro.exec import BACKEND_NAMES
+    from repro.faults import PipelineConfig
     backend = params.get("backend", "interp")
     _require(backend in BACKEND_NAMES,
              f"unknown backend {backend!r}")
@@ -206,7 +168,10 @@ def validate_spec(payload) -> JobSpec:
                  "inject jobs need params.faults: a non-empty list of "
                  "fault tokens (offset:BIT | flag:BIT | direction | "
                  "redirect:ADDR | register:REG,BIT,ICOUNT)")
-        build_pipeline_config(params)
+        _require("pipeline" not in params,
+                 "inject jobs run the DBT pipeline (the native or "
+                 "static one with threads); drop params.pipeline")
+        PipelineConfig.from_params(params)
         from repro.cli import parse_fault_token
         for token in faults:
             try:
@@ -222,7 +187,7 @@ def validate_spec(payload) -> JobSpec:
                  "params.per_category must be an integer")
         _require(isinstance(params.get("seed", 2006), int),
                  "params.seed must be an integer")
-        build_pipeline_config({"backend": backend})
+        PipelineConfig.from_params({"backend": backend})
     elif kind == "fuzz":
         build_fuzz_config(params)
     elif kind == "profile":
@@ -241,8 +206,8 @@ def validate_spec(payload) -> JobSpec:
                          for t in techniques),
                  "params.techniques must be a non-empty list drawn "
                  "from ecf, edgcf, rcf, cfcss, ecca")
-        build_pipeline_config({"policy": params.get("policy", "allbb"),
-                               "backend": backend})
+        PipelineConfig.from_params({"policy": params.get("policy"),
+                                    "backend": backend})
     return JobSpec(kind=kind, tenant=tenant, priority=priority,
                    program=program, name=name, params=params)
 
@@ -406,7 +371,7 @@ def _resume_flag(job: Job) -> bool:
 
 def _run_inject(job: Job) -> dict:
     from repro.cli import parse_fault_token
-    from repro.faults import CampaignExecutor
+    from repro.faults import CampaignExecutor, PipelineConfig
     from repro.faults.journal import CampaignJournal, inject_header
     params = job.spec.params
     program = _assemble(job.spec.program, job.spec.name)
@@ -418,19 +383,9 @@ def _run_inject(job: Job) -> dict:
                                thread=(None if thread is None
                                        else int(thread)))
              for token in params["faults"]]
-    config = build_pipeline_config(params)
+    config = PipelineConfig.from_params(params)
     resume = _resume_flag(job)
-    if not resume:
-        CampaignJournal(job.journal_path).append_header(
-            inject_header(params.get("technique"),
-                          params.get("policy", "allbb"),
-                          params.get("backend", "interp"),
-                          recover=bool(params.get("recover", False)),
-                          threads=config.threads,
-                          quantum=config.quantum,
-                          sched_policy=config.sched_policy,
-                          sched_seed=config.sched_seed,
-                          sig_swap=config.sig_swap))
+    CampaignJournal(job.journal_path).start(inject_header(config), resume)
     from repro.obs.traceevent import TraceContext
     executor = CampaignExecutor(
         program, config, jobs=params.get("jobs", 1),
@@ -461,9 +416,8 @@ def _run_coverage(job: Job) -> dict:
     per_category = int(params.get("per_category", 8))
     backend = params.get("backend", "interp")
     resume = _resume_flag(job)
-    if not resume:
-        CampaignJournal(job.journal_path).append_header(
-            coverage_header(seed, per_category, backend))
+    CampaignJournal(job.journal_path).start(
+        coverage_header(seed, per_category, backend), resume)
     forensics = params.get("forensics")
     forensics_path = None
     if forensics is not None:

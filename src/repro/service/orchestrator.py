@@ -304,9 +304,10 @@ class Orchestrator:
             status = JobStatus.DONE
             job.result = result
         job.finished = time.time()
-        # Terminal state reaches job.json before pollers can see it.
+        # The job span and then the terminal state reach disk before
+        # pollers can see that state.
+        self._append_job_span(job, status)
         job.publish(status)
-        self._append_job_span(job)
         self.registry.merge_snapshot(registry.snapshot())
         self.registry.counter(
             "service_jobs_finished_total", help="jobs finished",
@@ -320,7 +321,7 @@ class Orchestrator:
         with self._cond:
             self._cond.notify_all()
 
-    def _append_job_span(self, job: Job) -> None:
+    def _append_job_span(self, job: Job, status: JobStatus) -> None:
         """Record the job-level span in the workspace trace sidecar.
 
         The job's trace id *is* its job id; inject runners hand the
@@ -333,7 +334,7 @@ class Orchestrator:
             return
         entry = job_entry(TraceContext.root(job.id), job.spec.name,
                           job.started, job.finished,
-                          kind=job.spec.kind, status=job.status.value,
+                          kind=job.spec.kind, status=status.value,
                           job=job.id)
         try:
             append_entry(trace_sidecar_path(job.journal_path), entry)

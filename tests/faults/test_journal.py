@@ -3,6 +3,7 @@ writes, in-process resume, and the SIGKILL-then---resume acceptance
 path (a resumed campaign is byte-identical to an uninterrupted one and
 re-runs only the unfinished chunks)."""
 
+import dataclasses
 import json
 import os
 import signal
@@ -12,11 +13,14 @@ import time
 
 import pytest
 
+from repro.checking import Policy, UpdateStyle
 from repro.faults import (CampaignExecutor, CampaignJournal, Outcome,
                           PipelineConfig, RunRecord, campaign_key,
                           generate_category_faults, infra_error_record,
                           spec_digest)
-from repro.faults.journal import record_from_json, record_to_json
+from repro.faults.cache import config_from_key, config_key
+from repro.faults.journal import (inject_header, record_from_json,
+                                  record_to_json)
 from repro.workloads import suite as workload_suite
 
 CONFIG = PipelineConfig("dbt", "edgcf")
@@ -89,6 +93,14 @@ class TestJournalReplay:
     def test_missing_file_is_empty(self, tmp_path):
         journal = CampaignJournal(tmp_path / "nope.jsonl")
         assert journal.replay("p", ("dbt",)) == {}
+
+    def test_resume_without_a_header_records_one(self, tmp_path):
+        journal = CampaignJournal(tmp_path / "j.jsonl")
+        header = inject_header(CONFIG)
+        journal.start(header, resume=True)
+        assert journal.read_header() == header
+        journal.start(header, resume=True)
+        assert len(open(journal.path).readlines()) == 1
 
 
 class TestResume:
@@ -264,6 +276,42 @@ class TestCampaignKey:
         digest, key = campaign_key(gap, CONFIG)
         assert len(digest) == 64
         assert key == ("dbt", "edgcf", "allbb", "jcc", False, "interp")
+
+    #: Fields that give every PipelineConfig field a non-default value;
+    #: the recovery and scheduler knobs only count with their
+    #: subsystem on.  A field missing here fails the test below.
+    NON_DEFAULT = {
+        "pipeline": {"pipeline": "static"},
+        "technique": {"technique": "rcf"},
+        "policy": {"policy": Policy.RET},
+        "update_style": {"update_style": UpdateStyle.CMOV},
+        "dataflow": {"dataflow": True},
+        "backend": {"backend": "block"},
+        "recover": {"recover": True},
+        "checkpoint_interval": {"recover": True,
+                                "checkpoint_interval": 64},
+        "max_retries": {"recover": True, "max_retries": 1},
+        "threads": {"threads": True},
+        "quantum": {"threads": True, "quantum": 97},
+        "sched_policy": {"threads": True, "sched_policy": "priority"},
+        "sched_seed": {"threads": True, "sched_seed": 3},
+        "sig_swap": {"threads": True, "sig_swap": False},
+    }
+
+    @pytest.mark.parametrize(
+        "name", [field.name for field in dataclasses.fields(
+            PipelineConfig)])
+    def test_every_field_reaches_the_key(self, name):
+        changed = self.NON_DEFAULT[name]
+        config = PipelineConfig(**changed)
+        base = PipelineConfig(**{key: value for key, value
+                                 in changed.items() if key != name})
+        assert getattr(config, name) != getattr(base, name)
+        assert config_key(config) != config_key(base)
+        for each in (config, base):
+            assert config_from_key(config_key(each)) == each
+            # Journals and forensics bundles store the key as a list.
+            assert config_from_key(list(config_key(each))) == each
 
     def test_spec_digest_is_content_addressed(self, clean_specs):
         assert spec_digest(clean_specs[0]) == spec_digest(clean_specs[0])

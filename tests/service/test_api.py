@@ -13,32 +13,53 @@ import pytest
 from repro.service import JobStatus, ServiceError
 
 
-def inject_payload(src, faults, jobs=1, tenant="default"):
+def inject_payload(src, faults, jobs=1, tenant="default", **config):
     return {"kind": "inject", "program": src, "tenant": tenant,
             "name": "sum_loop.s",
             "params": {"technique": "edgcf", "faults": list(faults),
-                       "branch": "loop", "jobs": jobs}}
+                       "branch": "loop", "jobs": jobs, **config}}
 
 
-def cli_inject_journal(tmp_path, src, faults, jobs=1):
-    """Run the same campaign via the CLI; return the journal bytes."""
+def cli_inject_journal(tmp_path, src, faults, jobs=1, **config):
+    """Run the same campaign via the CLI; return the journal bytes.
+
+    ``config`` holds job params, passed as the CLI flags of the same
+    names."""
     from repro.cli import main
     source = tmp_path / "cli-prog.s"
     source.write_text(src)
     journal = tmp_path / f"cli-{jobs}.jsonl"
-    argv = ["inject", str(source), "-t", "edgcf", "--branch", "loop",
-            "--journal", str(journal), "--jobs", str(jobs)]
+    argv = ["inject", str(source), "--journal", str(journal),
+            "--jobs", str(jobs)]
+    for name, value in {"technique": "edgcf", "branch": "loop",
+                        **config}.items():
+        flag = "--" + name.replace("_", "-")
+        argv += [flag] if value is True else [flag, str(value)]
     for token in faults:
         argv += ["--fault", token]
     assert main(argv) == 0
     return journal.read_bytes()
 
 
+def _mt_program():
+    from repro.workloads import BY_NAME
+    return BY_NAME["mt.counters4"].generator(threads=3, iters=15, spin=3)
+
+
 class TestEndToEnd:
+    @pytest.mark.parametrize("program,config", [
+        (None, {}),
+        (None, {"recover": True, "checkpoint_interval": 32}),
+        (_mt_program, {"technique": "ecf", "branch": "worker+28",
+                       "threads": True, "quantum": 97,
+                       "sched_seed": 3}),
+    ], ids=["plain", "recover", "threads"])
     def test_submit_stream_and_journal_byte_identity(
-            self, service, tmp_path, sum_loop_src, ten_faults):
+            self, service, tmp_path, sum_loop_src, ten_faults, program,
+            config):
         server, client = service
-        job = client.submit(inject_payload(sum_loop_src, ten_faults))
+        src = sum_loop_src if program is None else program()
+        job = client.submit(inject_payload(src, ten_faults, **config))
         assert job["status"] in ("queued", "running")
 
         events = []
@@ -55,7 +76,7 @@ class TestEndToEnd:
 
         service_journal = client.journal(job["id"])
         assert service_journal == cli_inject_journal(
-            tmp_path, sum_loop_src, ten_faults)
+            tmp_path, src, ten_faults, **config)
 
     def test_parallel_campaign_matches_cli_parallel(
             self, service, tmp_path, sum_loop_src, ten_faults):
@@ -130,6 +151,27 @@ class TestApiSurface:
             client.submit({"kind": "inject"})
         assert err.value.status == 400
         assert "program" in str(err.value)
+
+    def test_bad_config_params_are_400(self, service, sum_loop_src):
+        server, client = service
+        for config, named in [
+                ({"recover": True, "checkpoint_interval": 0},
+                 "checkpoint_interval"),
+                ({"recover": True, "checkpoint_interval": -5},
+                 "checkpoint_interval"),
+                ({"recover": True, "max_retries": -1}, "max_retries"),
+                ({"threads": True, "quantum": 0}, "quantum"),
+                ({"dataflow": "no"}, "dataflow"),
+                ({"recover": "yes"}, "recover"),
+                ({"threads": 1}, "threads"),
+                ({"no_sig_swap": "false"}, "no_sig_swap"),
+                ({"pipeline": "static"}, "pipeline")]:
+            with pytest.raises(ServiceError) as err:
+                client.submit(inject_payload(sum_loop_src, ["direction"],
+                                             **config))
+            assert err.value.status == 400, config
+            assert named in str(err.value), config
+        assert client.jobs() == []
 
     def test_quota_is_429(self, service, sum_loop_src):
         server, client = service

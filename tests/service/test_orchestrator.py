@@ -228,8 +228,9 @@ class TestDrainResume:
         program = assemble(sum_loop_src, name=job.spec.name)
         specs = [parse_fault_token(program, token, branch="loop")
                  for token in ten_faults]
+        config = PipelineConfig("dbt", "edgcf")
         CampaignJournal(job.journal_path).append_header(
-            inject_header("edgcf", "allbb", "interp"))
+            inject_header(config))
         checks = [0]
 
         def stop_after_first_chunk():
@@ -237,7 +238,7 @@ class TestDrainResume:
             return checks[0] > 1
 
         with pytest.raises(CampaignStopped) as stopped:
-            CampaignExecutor(program, PipelineConfig("dbt", "edgcf"),
+            CampaignExecutor(program, config,
                              journal=job.journal_path,
                              stop_check=stop_after_first_chunk
                              ).run_specs(specs)

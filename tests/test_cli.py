@@ -187,6 +187,21 @@ class TestInject:
         # a resume with a different backend must be refused
         assert main(args + ["--resume", "--backend", "block"]) == 2
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--checkpoint-interval", "0"], "checkpoint_interval"),
+        (["--recover", "--checkpoint-interval", "-5"],
+         "checkpoint_interval"),
+        (["--recover", "--max-retries", "-1"], "max_retries"),
+        (["--threads", "--quantum", "0"], "quantum"),
+    ])
+    def test_bad_config_flags_exit_2(self, demo_file, tmp_path, capsys,
+                                     flags, named):
+        journal = tmp_path / "inject.jsonl"
+        assert main(["inject", demo_file, "--fault", "direction",
+                     "--journal", str(journal), *flags]) == 2
+        assert named in capsys.readouterr().err
+        assert not journal.exists()
+
     def test_retries_and_timeout_flags(self, demo_file):
         assert main(["inject", demo_file, "-t", "rcf",
                      "--branch", "loop+12", "--fault", "direction",
@@ -224,3 +239,59 @@ class TestAnalysis:
         assert main(["suite"]) == 0
         out = capsys.readouterr().out
         assert "164.gzip" in out and "171.swim" in out
+
+
+def _campaign(command, demo_file, journal):
+    if command == "coverage":
+        return ["coverage", demo_file, "--per-category", "2",
+                "--no-cache-level", "--journal", journal]
+    return ["inject", demo_file, "-t", "edgcf", "--branch", "loop+12",
+            "--occurrence", "2", "--fault", "offset:0", "--journal",
+            journal]
+
+
+class TestResumeRefusal:
+    """A resume under another config than the journal's is refused
+    before it touches the journal: its chunks would not replay."""
+
+    @pytest.mark.parametrize("command,first,resume,named", [
+        ("inject", [], ["-t", "rcf"], "technique: journal 'edgcf'"),
+        ("inject", [], ["--policy", "ret"], "policy: journal 'allbb'"),
+        ("inject", [], ["--dataflow"], "dataflow: journal False"),
+        ("inject", [], ["--recover"], "recover: journal False"),
+        ("inject", ["--recover"],
+         ["--recover", "--checkpoint-interval", "64"],
+         "checkpoint_interval: journal 4096, now 64"),
+        ("inject", ["--recover"], ["--recover", "--max-retries", "1"],
+         "max_retries: journal 3, now 1"),
+        ("inject", [], ["--backend", "block"],
+         "backend: journal 'interp', now 'block'"),
+        ("coverage", [], ["--per-category", "3"],
+         "per_category: journal 2, now 3"),
+    ])
+    def test_mismatched_resume_exits_2(self, demo_file, tmp_path,
+                                       capsys, command, first, resume,
+                                       named):
+        journal = tmp_path / "campaign.jsonl"
+        args = _campaign(command, demo_file, str(journal))
+        assert main(args + first) == 0
+        recorded = journal.read_bytes()
+        capsys.readouterr()
+        assert main(args + resume + ["--resume"]) == 2
+        assert named in capsys.readouterr().err
+        assert journal.read_bytes() == recorded
+
+    def test_header_without_config_is_refused(self, demo_file, tmp_path,
+                                              capsys):
+        journal = tmp_path / "campaign.jsonl"
+        args = _campaign("inject", demo_file, str(journal))
+        assert main(args) == 0
+        header, *chunks = journal.read_text().splitlines()
+        entry = json.loads(header)
+        del entry["header"]["config"]
+        journal.write_text("\n".join([json.dumps(entry), *chunks]) + "\n")
+        recorded = journal.read_bytes()
+        capsys.readouterr()
+        assert main(args + ["--resume"]) == 2
+        assert "rerun without --resume" in capsys.readouterr().err
+        assert journal.read_bytes() == recorded

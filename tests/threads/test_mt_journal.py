@@ -59,14 +59,15 @@ class TestResumeGuard:
         second = capsys.readouterr().out
         assert "outcome:" in first and "outcome:" in second
 
-    @pytest.mark.parametrize("mismatch", [
-        ["--quantum", "500"],
-        ["--sched-policy", "priority"],
-        ["--sched-seed", "9"],
-        ["--no-sig-swap"],
+    @pytest.mark.parametrize("mismatch,field", [
+        (["--quantum", "500"], "quantum: journal 97, now 500"),
+        (["--sched-policy", "priority"],
+         "sched_policy: journal 'rr', now 'priority'"),
+        (["--sched-seed", "9"], "sched_seed: journal 3, now 9"),
+        (["--no-sig-swap"], "sig_swap: journal True, now False"),
     ])
     def test_resume_with_mismatched_scheduler_refused(
-            self, mt_file, tmp_path, capsys, mismatch):
+            self, mt_file, tmp_path, capsys, mismatch, field):
         journal = str(tmp_path / "mt.jsonl")
         assert inject(mt_file, journal) == 0
         capsys.readouterr()
@@ -76,7 +77,7 @@ class TestResumeGuard:
                 + _merge(mismatch))
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "different scheduler parameters" in err
+        assert field in err
 
     def test_resume_without_threads_on_mt_journal_refused(
             self, mt_file, tmp_path, capsys):
@@ -86,7 +87,7 @@ class TestResumeGuard:
         assert main(["inject", mt_file, "-t", "ecf", "--branch",
                      "worker+28", "--fault", "direction", "--journal",
                      journal, "--resume"]) == 2
-        assert "different scheduler parameters" in \
+        assert "threads: journal True, now False" in \
             capsys.readouterr().err
 
 
