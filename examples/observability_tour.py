@@ -9,7 +9,6 @@ the parallel run's telemetry sums to exactly the serial totals.
 Run:  python examples/observability_tour.py
 """
 
-import json
 import os
 import tempfile
 
@@ -17,6 +16,8 @@ from repro import obs
 from repro.faults import (CampaignExecutor, PipelineConfig,
                           clear_caches, generate_category_faults)
 from repro.obs.exporters import load_snapshot, render_stats
+from repro.obs.spans import (read_entries, to_chrome_trace,
+                             validate_chrome_trace)
 from repro.workloads import suite as workload_suite
 
 
@@ -76,17 +77,18 @@ def main() -> None:
         print(render_stats(parallel))
         print()
 
-        # 5. The span event log streamed by --trace: one JSON object
-        #    per finished span, parents after their children.
-        with open(trace_path) as handle:
-            events = [json.loads(line) for line in handle]
+        # 5. The span log streamed by --trace: one trace-event entry
+        #    per finished span (children before their parents), the
+        #    same entry format as campaign trace sidecars, so it
+        #    renders straight to Chrome trace-event JSON.
+        entries = read_entries(trace_path)
+        assert validate_chrome_trace(to_chrome_trace(entries)) == []
         by_name: dict[str, int] = {}
-        for event in events:
-            by_name[event["name"]] = by_name.get(event["name"], 0) + 1
-        print(f"trace: {len(events)} span events: "
+        for entry in entries:
+            by_name[entry["name"]] = by_name.get(entry["name"], 0) + 1
+        print(f"trace: {len(entries)} spans: "
               + ", ".join(f"{name} x{count}"
                           for name, count in sorted(by_name.items())))
-
 
 if __name__ == "__main__":
     main()

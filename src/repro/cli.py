@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from repro import obs
 from repro.isa import assemble, disassemble_program
@@ -203,11 +204,10 @@ def cmd_inject(args) -> int:
         # identity the journal uses: a resumed campaign continues the
         # trace its first run started.
         from repro.faults.cache import config_key, program_digest
-        from repro.obs.traceevent import TraceContext
+        from repro.obs.spans import TraceContext
         trace_ctx = TraceContext.for_campaign(program_digest(program),
                                               config_key(config))
-    import time as _time
-    campaign_t0 = _time.time()
+    campaign_t0 = time.time()
     executor = CampaignExecutor(program, config, jobs=args.jobs,
                                 retries=args.retries,
                                 timeout=args.timeout,
@@ -216,12 +216,10 @@ def cmd_inject(args) -> int:
                                 trace=trace_ctx)
     records = executor.run_specs(specs)
     if trace_ctx is not None:
-        from repro.obs.traceevent import (append_entry, job_entry,
-                                          trace_sidecar_path)
-        append_entry(
-            trace_sidecar_path(args.journal),
-            job_entry(trace_ctx, os.path.basename(args.file),
-                      campaign_t0, _time.time(), kind="inject"))
+        from repro.obs.spans import append_job_span
+        append_job_span(args.journal, trace_ctx,
+                        os.path.basename(args.file), campaign_t0,
+                        time.time(), kind="inject")
     print(f"config:  {config.label()}")
     status = 0
     for spec, record in zip(specs, records):
@@ -538,36 +536,24 @@ def cmd_profile(args) -> int:
 
 def cmd_trace_export(args) -> int:
     """Export a campaign trace sidecar as Chrome trace-event JSON."""
-    import json
-
-    from repro.obs.traceevent import (export_chrome_trace, read_entries,
-                                      trace_sidecar_path,
-                                      validate_chrome_trace)
-    if args.journal:
-        sidecar = trace_sidecar_path(args.journal)
-        try:
-            entries = read_entries(sidecar)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+    from repro.obs.spans import (export_chrome_trace, parse_entries,
+                                 read_entries, trace_sidecar_path,
+                                 validate_chrome_trace)
+    from repro.service.client import ServiceClient, ServiceError
+    try:
+        if args.journal:
+            entries = read_entries(trace_sidecar_path(args.journal))
+        elif args.url and args.job:
+            artifact = trace_sidecar_path("journal.jsonl")
+            raw = ServiceClient(args.url).artifact(args.job, artifact)
+            entries = parse_entries(raw.decode().splitlines(),
+                                    f"job {args.job} {artifact}")
+        else:
+            print("error: give --journal PATH, or --url URL --job ID",
+                  file=sys.stderr)
             return 1
-    elif args.url and args.job:
-        from repro.service.client import ServiceClient, ServiceError
-        try:
-            raw = ServiceClient(args.url).artifact(
-                args.job, "journal.jsonl.trace.jsonl")
-        except (ServiceError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        entries = []
-        for line in raw.decode().splitlines():
-            if line.strip():
-                try:
-                    entries.append(json.loads(line))
-                except ValueError:
-                    continue
-    else:
-        print("error: give --journal PATH, or --url URL --job ID",
-              file=sys.stderr)
+    except (OSError, ValueError, ServiceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     if not entries:
         print("error: no trace spans found (campaigns record them "
@@ -729,7 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
                  "snapshot `repro stats` reads)")
         p.add_argument(
             "--trace", default=None, metavar="PATH",
-            help="stream finished spans to this JSONL event log")
+            help="append every finished span to this JSONL log, one "
+                 "trace-event entry per line (the entry format of "
+                 "campaign trace sidecars)")
 
     def common_exec(p):
         p.add_argument("file", help="assembly source file")

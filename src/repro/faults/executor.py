@@ -51,9 +51,8 @@ from dataclasses import dataclass
 from repro import obs
 from repro.isa.program import Program
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanRecorder
-from repro.obs.traceevent import (TraceContext, append_entry,
-                                  chunk_entry, trace_sidecar_path)
+from repro.obs.spans import (SpanRecorder, TraceContext, append_entries,
+                             trace_sidecar_path)
 from repro.faults import cache as run_cache
 from repro.faults.campaign import (CampaignResult, CategoryFaults,
                                    Outcome, Pipeline, PipelineConfig,
@@ -115,9 +114,8 @@ class WorkerResult:
 
     ``timings`` (traced campaigns only) carries the chunk's wall-clock
     span and one ``{"t0", "dur", "outcome"}`` entry per run, plus the
-    worker's pid and the trace id it was handed — the raw material the
-    parent turns into chunk/run spans in the trace sidecar (see
-    :mod:`repro.obs.traceevent`).
+    worker's pid — the raw material the parent turns into chunk/run
+    spans in the trace sidecar (see :mod:`repro.obs.spans`).
     """
 
     value: object
@@ -205,22 +203,20 @@ def _worker_run_specs(pipeline: Pipeline, specs: list):
     timings ride home in ``WorkerResult.timings`` (epoch seconds, so
     spans from different processes share one clock).
     """
-    trace = _worker_trace
-    timings = None
-    if trace is not None:
-        chunk_start = time.time()
-        records, runs = [], []
-        for spec in specs:
-            run_start = time.time()
-            record = _quarantined_run(pipeline, spec)
-            runs.append({"t0": run_start,
-                         "dur": time.time() - run_start,
+    traced = _worker_trace is not None
+    if traced:
+        chunk_t0 = time.time()
+    records, runs = [], []
+    for spec in specs:
+        if traced:
+            run_t0 = time.time()
+        record = _quarantined_run(pipeline, spec)
+        records.append(record)
+        if traced:
+            runs.append({"t0": run_t0, "dur": time.time() - run_t0,
                          "outcome": record.outcome.value})
-            records.append(record)
-        timings = {"trace_id": trace.trace_id, "t0": chunk_start,
-                   "t1": time.time(), "pid": os.getpid(), "runs": runs}
-    else:
-        records = [_quarantined_run(pipeline, spec) for spec in specs]
+    timings = ({"t0": chunk_t0, "t1": time.time(), "pid": os.getpid(),
+                "runs": runs} if traced else None)
     escapes = _escapes_of(records, specs)
     snap = obs.drain_worker_snapshot()
     if snap is not None or escapes or timings is not None:
@@ -246,7 +242,7 @@ class CampaignExecutor:
     and raises :class:`CampaignStopped` *after* the completed chunks
     have been journaled, so the campaign later resumes via ``resume``.
 
-    ``trace`` (a :class:`~repro.obs.traceevent.TraceContext`) turns on
+    ``trace`` (a :class:`~repro.obs.spans.TraceContext`) turns on
     cross-process trace correlation: workers time each run, the parent
     derives deterministic chunk/run span ids under the given context
     and appends them to the ``<journal>.trace.jsonl`` sidecar (never
@@ -410,22 +406,26 @@ class CampaignExecutor:
         return result
 
     def _trace_checkpoint(self, index: int) -> None:
-        """Write the chunk's span (plus run child spans) to the trace
+        """Write the chunk's span and its runs' spans to the trace
         sidecar.  A split chunk arrives as several timed pieces — the
         chunk span covers all of them; replayed chunks have no pieces
         and no span (their work happened in an earlier trace)."""
         pieces = self._trace_pieces.pop(index, None)
         if not pieces or self.trace is None or self.journal is None:
             return
-        runs = sorted((run for piece in pieces
-                       for run in piece["runs"]),
-                      key=lambda run: run["i"])
-        append_entry(
-            trace_sidecar_path(self.journal),
-            chunk_entry(self.trace, index,
-                        t0=min(piece["t0"] for piece in pieces),
-                        t1=max(piece["t1"] for piece in pieces),
-                        pid=pieces[0]["pid"], runs=runs))
+        chunk_ctx = self.trace.child("chunk", index)
+        t0 = min(piece["t0"] for piece in pieces)
+        entries = [chunk_ctx.entry(
+            f"chunk {index}", "chunk", t0,
+            max(piece["t1"] for piece in pieces) - t0,
+            pieces[0]["pid"], {"index": index})]
+        for piece in pieces:
+            for run in piece["runs"]:
+                entries.append(chunk_ctx.child("run", run["i"]).entry(
+                    f"run {run['i']}", "run", run["t0"], run["dur"],
+                    piece["pid"],
+                    {"index": run["i"], "outcome": run["outcome"]}))
+        append_entries(trace_sidecar_path(self.journal), entries)
 
     def escape_specs(self) -> list[tuple[int, object]]:
         """Escape (SDC/HANG) specs of the last ``run_specs`` call, as

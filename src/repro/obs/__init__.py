@@ -1,9 +1,10 @@
 """``repro.obs`` — metrics, spans, and campaign telemetry.
 
 The observability subsystem the perf roadmap hangs off: a metrics
-registry (:mod:`repro.obs.metrics`), span tracing
-(:mod:`repro.obs.spans`) and exporters (:mod:`repro.obs.exporters`),
-wired through the interpreter, the DBT, and the campaign engine.
+registry (:mod:`repro.obs.metrics`), spans recorded as trace-event
+entries (:mod:`repro.obs.spans`) and exporters
+(:mod:`repro.obs.exporters`), wired through the interpreter, the DBT,
+and the campaign engine.
 
 Design rule: **off means free**.  Nothing is recorded — and the
 interpreter hot loop takes no extra branch per instruction — unless a
@@ -39,14 +40,14 @@ from repro.obs.metrics import (BUCKET_SHIFT, BUCKETS, Counter, Gauge,
                                Histogram, MetricsRegistry, NULL_COUNTER,
                                NULL_GAUGE, NULL_HISTOGRAM, Timer,
                                bucket_index, bucket_upper_bound)
-from repro.obs.spans import NULL_SPAN, SpanRecord, SpanRecorder
+from repro.obs.spans import (NULL_SPAN, SpanRecorder, TraceContext,
+                             trace_sidecar_path)
 from repro.obs.timeseries import RollingWindow, TimeSeriesHub
-from repro.obs.traceevent import TraceContext, trace_sidecar_path
 
 __all__ = [
     "BUCKETS", "BUCKET_SHIFT", "Counter", "Gauge", "Histogram",
     "MetricsRegistry", "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM",
-    "NULL_SPAN", "RollingWindow", "SpanRecord", "SpanRecorder",
+    "NULL_SPAN", "RollingWindow", "SpanRecorder",
     "TimeSeriesHub", "Timer", "TraceContext", "bucket_index",
     "bucket_upper_bound", "counter", "drain_worker_snapshot", "enabled",
     "gauge", "get_recorder", "get_registry", "histogram", "install",
@@ -207,22 +208,21 @@ def merge_snapshot(snap: dict | None) -> None:
 
 @contextlib.contextmanager
 def session(metrics_path: str | None = None,
-            trace_path: str | None = None,
-            span_capacity: int = 4096):
+            trace_path: str | None = None):
     """Observability for one command: install, run, export, uninstall.
 
     ``metrics_path`` picks the export format by suffix (``.prom``
     Prometheus text, ``.jsonl`` JSONL events, else the JSON snapshot
     ``repro stats`` reads); ``trace_path`` streams finished spans to a
-    JSONL event log as they happen.  With neither path set this is a
-    no-op — observability stays off.
+    JSONL span log (trace-event entries, see :mod:`repro.obs.spans`)
+    as they happen.  With neither path set this is a no-op —
+    observability stays off.
     """
     if metrics_path is None and trace_path is None:
         yield None
         return
     registry = MetricsRegistry()
-    recorder = SpanRecorder(capacity=span_capacity,
-                            sink_path=trace_path)
+    recorder = SpanRecorder(sink_path=trace_path)
     install(registry, recorder)
     try:
         yield registry

@@ -386,7 +386,7 @@ def _run_inject(job: Job) -> dict:
     config = PipelineConfig.from_params(params)
     resume = _resume_flag(job)
     CampaignJournal(job.journal_path).start(inject_header(config), resume)
-    from repro.obs.traceevent import TraceContext
+    from repro.obs.spans import TraceContext
     executor = CampaignExecutor(
         program, config, jobs=params.get("jobs", 1),
         retries=params.get("retries"), timeout=params.get("timeout"),
@@ -449,7 +449,7 @@ def _run_fuzz(job: Job) -> dict:
     # Fuzzing is rerun-deterministic: a requeued job reruns from
     # scratch, so drop the torn journal (and its trace sidecar)
     # instead of resuming it (run_fuzz appends its own header).
-    from repro.obs.traceevent import trace_sidecar_path
+    from repro.obs.spans import trace_sidecar_path
     for stale in (job.journal_path,
                   trace_sidecar_path(job.journal_path)):
         if os.path.exists(stale):

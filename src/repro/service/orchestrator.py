@@ -37,8 +37,7 @@ from repro.faults import cache as run_cache
 from repro.faults.executor import CampaignStopped
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesHub
-from repro.obs.traceevent import (TraceContext, append_entry, job_entry,
-                                  trace_sidecar_path)
+from repro.obs.spans import TraceContext, append_job_span
 from repro.service.jobs import Job, JobSpec, JobStatus, run_job
 from repro.service.store import ArtifactStore
 
@@ -332,12 +331,11 @@ class Orchestrator:
         """
         if job.started is None or job.finished is None:
             return
-        entry = job_entry(TraceContext.root(job.id), job.spec.name,
-                          job.started, job.finished,
-                          kind=job.spec.kind, status=status.value,
-                          job=job.id)
         try:
-            append_entry(trace_sidecar_path(job.journal_path), entry)
+            append_job_span(job.journal_path, TraceContext.root(job.id),
+                            job.spec.name, job.started, job.finished,
+                            kind=job.spec.kind, status=status.value,
+                            job=job.id)
         except OSError:
             log.warning("could not append trace span for job %s",
                         job.id, exc_info=True)

@@ -5,9 +5,9 @@ import pytest
 
 from repro.faults import (CampaignExecutor, PipelineConfig,
                           generate_category_faults)
-from repro.obs.traceevent import (TraceContext, read_entries,
-                                  to_chrome_trace, trace_sidecar_path,
-                                  validate_chrome_trace)
+from repro.obs.spans import (TraceContext, read_entries,
+                             to_chrome_trace, trace_sidecar_path,
+                             validate_chrome_trace)
 from repro.workloads import suite as workload_suite
 
 
@@ -34,10 +34,13 @@ def _run(gap, specs, tmp_path, jobs, trace, name="j"):
 
 def _span_ids(sidecar):
     entries = read_entries(sidecar)
-    top = {e["span_id"] for e in entries}
-    runs = {run["span_id"] for e in entries
-            for run in e.get("runs", ())}
-    return top, runs
+    chunks = {e["span_id"] for e in entries if e["cat"] == "chunk"}
+    runs = {e["span_id"] for e in entries if e["cat"] == "run"}
+    return chunks, runs
+
+
+def _chunks(entries):
+    return [e for e in entries if e["cat"] == "chunk"]
 
 
 class TestSidecar:
@@ -57,12 +60,15 @@ class TestSidecar:
         trace = TraceContext.root("trace-v")
         journal, _ = _run(gap, specs, tmp_path, jobs=2, trace=trace)
         entries = read_entries(trace_sidecar_path(journal))
-        assert entries, "chunks must be traced"
-        assert all(e["type"] == "chunk" for e in entries)
-        assert all(e["parent_span"] == trace.span_id for e in entries)
+        chunks = _chunks(entries)
+        assert chunks, "chunks must be traced"
+        assert {e["cat"] for e in entries} == {"chunk", "run"}
+        assert all(e["parent_span"] == trace.span_id for e in chunks)
+        chunk_ids = {e["span_id"] for e in chunks}
+        runs = [e for e in entries if e["cat"] == "run"]
+        assert all(e["parent_span"] in chunk_ids for e in runs)
         # run count across chunks covers every spec exactly once
-        indices = sorted(run["i"] for e in entries
-                         for run in e["runs"])
+        indices = sorted(e["attrs"]["index"] for e in runs)
         assert indices == list(range(len(specs)))
         trace_dict = to_chrome_trace(entries)
         assert validate_chrome_trace(trace_dict) == []
@@ -92,8 +98,8 @@ class TestSidecar:
                                  journal=journal, trace=trace)
         first.run_specs(specs[:5])
         sidecar = trace_sidecar_path(journal)
-        leg_one = read_entries(sidecar)
-        assert [e["index"] for e in leg_one] == [0]
+        leg_one = _chunks(read_entries(sidecar))
+        assert [e["attrs"]["index"] for e in leg_one] == [0]
         # Second leg: the full spec list, resuming; chunk 0 replays
         # from the journal and must NOT be re-traced.
         second = CampaignExecutor(gap, PipelineConfig("dbt", "rcf"),
@@ -103,9 +109,10 @@ class TestSidecar:
         records = second.run_specs(specs)
         assert len(records) == len(specs)
         entries = read_entries(sidecar)
-        assert sorted(e["index"] for e in entries) == \
+        chunks = _chunks(entries)
+        assert sorted(e["attrs"]["index"] for e in chunks) == \
             sorted(range((len(specs) + 4) // 5))
-        assert len(entries) == len({e["index"] for e in entries})
+        assert len(chunks) == len({e["attrs"]["index"] for e in chunks})
         assert all(e["trace_id"] == trace.trace_id for e in entries)
         trace_dict = to_chrome_trace(entries)
         assert validate_chrome_trace(trace_dict) == []

@@ -1,66 +1,42 @@
-"""Span recorder: nesting, bounded buffer, aggregates, JSONL sink."""
-
-import json
+"""Span recorder: nesting, aggregates, trace-event sink."""
 
 import pytest
 
-from repro.obs.spans import NULL_SPAN, SpanRecorder
+from repro.obs.spans import NULL_SPAN, SpanRecorder, read_entries
+
+
+def _recorded(tmp_path):
+    return SpanRecorder(sink_path=str(tmp_path / "spans.jsonl"))
 
 
 class TestNesting:
-    def test_parent_child_and_depth(self):
-        recorder = SpanRecorder()
-        with recorder.span("outer"):
-            with recorder.span("inner"):
-                pass
-        inner, outer = None, None
-        for record in recorder.buffer:
-            if record.name == "inner":
-                inner = record
-            else:
-                outer = record
-        assert outer.parent_id is None and outer.depth == 0
-        assert inner.parent_id == outer.span_id and inner.depth == 1
-
-    def test_children_finish_first(self):
-        recorder = SpanRecorder()
+    def test_children_finish_first(self, tmp_path):
+        recorder = _recorded(tmp_path)
         with recorder.span("a"):
             with recorder.span("b"):
                 pass
-        names = [record.name for record in recorder.buffer]
+        names = [entry["name"]
+                 for entry in read_entries(recorder.sink_path)]
         assert names == ["b", "a"]
 
-    def test_attrs_recorded(self):
-        recorder = SpanRecorder()
+    def test_attrs_recorded(self, tmp_path):
+        recorder = _recorded(tmp_path)
         with recorder.span("translate", block=0x1000):
             pass
-        assert recorder.buffer[0].attrs == {"block": 0x1000}
+        assert read_entries(recorder.sink_path)[0]["attrs"] == \
+            {"block": 0x1000}
 
-    def test_durations_nest(self):
-        recorder = SpanRecorder()
+    def test_durations_nest(self, tmp_path):
+        recorder = _recorded(tmp_path)
         with recorder.span("outer"):
             with recorder.span("inner"):
                 pass
-        by_name = {r.name: r for r in recorder.buffer}
-        assert by_name["outer"].duration >= by_name["inner"].duration
-
-
-class TestBoundedBuffer:
-    def test_capacity_evicts_oldest_and_counts_drops(self):
-        recorder = SpanRecorder(capacity=3)
-        for index in range(5):
-            with recorder.span(f"s{index}"):
-                pass
-        assert len(recorder.buffer) == 3
-        assert [r.name for r in recorder.buffer] == ["s2", "s3", "s4"]
-        assert recorder.dropped == 2
-
-    def test_aggregates_survive_wraparound(self):
-        recorder = SpanRecorder(capacity=2)
-        for _ in range(10):
-            with recorder.span("hot"):
-                pass
-        assert recorder.aggregates["hot"][0] == 10
+        by_name = {entry["name"]: entry
+                   for entry in read_entries(recorder.sink_path)}
+        outer, inner = by_name["outer"], by_name["inner"]
+        assert outer["dur"] >= inner["dur"]
+        assert outer["t0"] <= inner["t0"]
+        assert inner["t0"] + inner["dur"] <= outer["t0"] + outer["dur"]
 
 
 class TestAggregates:
@@ -94,7 +70,6 @@ class TestAggregates:
             pass
         entries = recorder.drain_aggregates()
         assert entries and not recorder.aggregates
-        assert not recorder.buffer
 
 
 class TestSink:
@@ -105,16 +80,27 @@ class TestSink:
             with recorder.span("inner"):
                 pass
         recorder.close()
-        lines = [json.loads(line)
-                 for line in path.read_text().splitlines()]
+        lines = read_entries(str(path))
         assert [line["name"] for line in lines] == ["inner", "outer"]
         assert lines[1]["attrs"] == {"k": "v"}
-        assert lines[0]["parent_id"] == lines[1]["span_id"]
+        assert lines[0]["parent_span"] == lines[1]["span_id"]
+        assert lines[1]["parent_span"] == recorder.context.span_id
+        assert {line["trace_id"] for line in lines} == \
+            {recorder.context.trace_id}
 
     def test_close_idempotent(self, tmp_path):
         recorder = SpanRecorder(sink_path=str(tmp_path / "t.jsonl"))
         recorder.close()
         recorder.close()
+
+    def test_close_stops_streaming(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        recorder = SpanRecorder(sink_path=str(path))
+        recorder.close()
+        with recorder.span("late"):
+            pass
+        assert not path.exists()
+        assert recorder.aggregates["late"][0] == 1
 
 
 def test_null_span_is_reusable():

@@ -1,13 +1,15 @@
-"""Trace contexts, sidecar I/O, and Chrome trace-event export."""
+"""Trace contexts, span files, and Chrome trace-event export."""
 
 import json
+import os
 
-from repro.obs.traceevent import (TraceContext, append_entry,
-                                  chunk_entry, derive_span_id,
-                                  export_chrome_trace, job_entry,
-                                  read_entries, to_chrome_trace,
-                                  trace_sidecar_path,
-                                  validate_chrome_trace)
+import pytest
+
+from repro.obs.spans import (TraceContext, append_entries,
+                             append_job_span, derive_span_id,
+                             export_chrome_trace, read_entries,
+                             to_chrome_trace, trace_sidecar_path,
+                             validate_chrome_trace)
 
 
 class TestTraceContext:
@@ -45,18 +47,61 @@ class TestSidecar:
 
     def test_append_and_read(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        append_entry(path, {"type": "job", "name": "a"})
-        append_entry(path, {"type": "chunk", "index": 0})
-        assert [e["type"] for e in read_entries(path)] == \
+        job = TraceContext.root("t")
+        append_entries(path, [job.entry("a", "job", 1.0, 2.0, 7, {})])
+        append_entries(path, [
+            job.child("chunk", 0).entry("chunk 0", "chunk", 1.5, 0.5,
+                                        7, {"index": 0})])
+        assert [e["cat"] for e in read_entries(path)] == \
             ["job", "chunk"]
 
     def test_read_skips_torn_tail(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        append_entry(path, {"type": "job", "name": "a"})
+        append_entries(path, [TraceContext.root("t").entry(
+            "a", "job", 1.0, 2.0, 7, {})])
         with open(path, "a") as handle:
-            handle.write('{"type": "chunk", "ind')  # killed mid-append
+            handle.write('{"name": "chunk 0", "ca')  # killed mid-append
         entries = read_entries(path)
-        assert len(entries) == 1 and entries[0]["type"] == "job"
+        assert len(entries) == 1 and entries[0]["cat"] == "job"
+
+    def test_old_format_refused_naming_file(self, tmp_path):
+        path = str(tmp_path / "old.jsonl")
+        with open(path, "w") as handle:
+            handle.write(json.dumps({"type": "job", "name": "a",
+                                     "t0": 1.0, "t1": 2.0,
+                                     "trace_id": "t", "span_id": "s",
+                                     "parent_span": None}) + "\n")
+        with pytest.raises(ValueError, match="old.jsonl:1: not a span"):
+            read_entries(path)
+
+    def test_job_span_lands_in_sidecar(self, tmp_path):
+        journal = str(tmp_path / "j.jsonl")
+        job = TraceContext.root("t")
+        append_job_span(journal, job, "prog.s", 10.0, 10.5,
+                        kind="inject")
+        (entry,) = read_entries(trace_sidecar_path(journal))
+        assert entry["cat"] == "job" and entry["span_id"] == job.span_id
+        assert entry["dur"] == pytest.approx(0.5)
+        assert entry["attrs"] == {"kind": "inject"}
+
+
+def _chunk(job, index, t0, t1, pid, runs):
+    """A chunk entry plus its runs' entries, as the executor writes
+    them."""
+    chunk = job.child("chunk", index)
+    entries = [chunk.entry(f"chunk {index}", "chunk", t0, t1 - t0, pid,
+                           {"index": index})]
+    for run in runs:
+        attrs = {"index": run["i"]}
+        if "outcome" in run:
+            attrs["outcome"] = run["outcome"]
+        entries.append(chunk.child("run", run["i"]).entry(
+            f"run {run['i']}", "run", run["t0"], run["dur"], pid, attrs))
+    return entries
+
+
+def _job(job, t0, t1, **attrs):
+    return job.entry("prog.s", "job", t0, t1 - t0, os.getpid(), attrs)
 
 
 def _entries():
@@ -65,9 +110,9 @@ def _entries():
              {"i": 1, "t0": 10.004, "dur": 0.001}]
     runs1 = [{"i": 2, "t0": 10.010, "dur": 0.003}]
     return [
-        job_entry(job, "prog.s", 10.0, 10.02, kind="inject"),
-        chunk_entry(job, 0, 10.0005, 10.006, pid=111, runs=runs0),
-        chunk_entry(job, 1, 10.009, 10.014, pid=222, runs=runs1),
+        _job(job, 10.0, 10.02, kind="inject"),
+        *_chunk(job, 0, 10.0005, 10.006, pid=111, runs=runs0),
+        *_chunk(job, 1, 10.009, 10.014, pid=222, runs=runs1),
     ]
 
 
@@ -112,8 +157,8 @@ class TestChromeExport:
         # A requeued job appends a second line under the same span id.
         entries = _entries()
         job = TraceContext.root("trace1")
-        entries.append(job_entry(job, "prog.s", 10.0, 10.05,
-                                 kind="inject", status="done"))
+        entries.append(_job(job, 10.0, 10.05, kind="inject",
+                            status="done"))
         trace = to_chrome_trace(entries)
         assert validate_chrome_trace(trace) == []
         jobs = [e for e in trace["traceEvents"]
@@ -126,8 +171,7 @@ class TestChromeExport:
         # first attempt's chunks must still fit inside it.
         entries = _entries()
         job = TraceContext.root("trace1")
-        entries.append(job_entry(job, "prog.s", 10.012, 10.02,
-                                 kind="inject"))
+        entries.append(_job(job, 10.012, 10.02, kind="inject"))
         trace = to_chrome_trace(entries)
         assert validate_chrome_trace(trace) == []
         jobs = [e for e in trace["traceEvents"]
@@ -172,9 +216,8 @@ class TestSerialParallelIdentity:
     def test_span_ids_independent_of_chunk_completion_order(self):
         job = TraceContext.root("t")
         runs = [{"i": 4, "t0": 1.0, "dur": 0.1}]
-        early = chunk_entry(job, 2, 1.0, 2.0, pid=1, runs=runs)
-        late = chunk_entry(job, 2, 5.0, 6.0, pid=9, runs=[
+        early = _chunk(job, 2, 1.0, 2.0, pid=1, runs=runs)
+        late = _chunk(job, 2, 5.0, 6.0, pid=9, runs=[
             {"i": 4, "t0": 5.0, "dur": 0.1}])
-        assert early["span_id"] == late["span_id"]
-        assert early["runs"][0]["span_id"] == \
-            late["runs"][0]["span_id"]
+        assert early[0]["span_id"] == late[0]["span_id"]
+        assert early[1]["span_id"] == late[1]["span_id"]

@@ -4,7 +4,8 @@ trace artifacts served over the API."""
 import json
 import urllib.request
 
-from repro.obs.traceevent import to_chrome_trace, validate_chrome_trace
+from repro.obs.spans import (parse_entries, to_chrome_trace,
+                             validate_chrome_trace)
 from tests.service.test_api import inject_payload
 
 
@@ -143,16 +144,16 @@ class TestTraceArtifact:
         wait_terminal(server.orchestrator, job["id"])
         raw = client.artifact(job["id"],
                               "journal.jsonl.trace.jsonl").decode()
-        entries = [json.loads(line) for line in raw.splitlines()
-                   if line.strip()]
-        kinds = sorted(e["type"] for e in entries)
+        entries = parse_entries(raw.splitlines(), "sidecar")
+        kinds = sorted(e["cat"] for e in entries)
         assert kinds.count("job") == 1
         assert kinds.count("chunk") == 2  # 10 faults, chunk size 8
-        job_line = next(e for e in entries if e["type"] == "job")
-        assert job_line["job"] == job["id"]
+        job_line = next(e for e in entries if e["cat"] == "job")
+        assert job_line["attrs"]["job"] == job["id"]
         assert job_line["trace_id"] == job["id"]
-        runs = [run for e in entries for run in e.get("runs", ())]
-        assert sorted(run["i"] for run in runs) == list(range(10))
+        runs = [e for e in entries if e["cat"] == "run"]
+        assert sorted(run["attrs"]["index"] for run in runs) == \
+            list(range(10))
         trace = to_chrome_trace(entries)
         assert validate_chrome_trace(trace) == []
         # job -> chunk -> run chain

@@ -95,6 +95,31 @@ class TestObservability:
                  for line in open(trace)}
         assert "dbt.run" in names and "dbt.translate" in names
 
+    @pytest.mark.parametrize("command", [
+        ["run", "-t", "rcf"],
+        ["inject", "-t", "rcf", "--branch", "loop+12",
+         "--fault", "direction", "--fault", "offset:1", "--jobs", "2"],
+    ])
+    def test_trace_log_is_a_valid_chrome_trace(self, demo_file, tmp_path,
+                                               command):
+        from repro.obs.spans import (read_entries, to_chrome_trace,
+                                     validate_chrome_trace)
+        trace = str(tmp_path / "trace.jsonl")
+        assert main([command[0], demo_file, *command[1:],
+                     "--trace", trace]) == 0
+        entries = read_entries(trace)
+        assert validate_chrome_trace(to_chrome_trace(entries)) == []
+        by_id = {entry["span_id"]: entry for entry in entries}
+        translates = [entry for entry in entries
+                      if entry["name"] == "dbt.translate"]
+        assert translates
+        for child in translates:
+            parent = by_id[child["parent_span"]]
+            assert parent["name"] == "dbt.run"
+            assert parent["t0"] <= child["t0"] + 1e-6
+            assert child["t0"] + child["dur"] <= \
+                parent["t0"] + parent["dur"] + 1e-6
+
     def test_coverage_parallel_metrics_merge(self, demo_file, tmp_path,
                                              capsys):
         metrics = str(tmp_path / "metrics.json")
@@ -126,6 +151,34 @@ class TestObservability:
         from repro import obs
         assert main(["run", demo_file]) == 0
         assert obs.get_registry() is None
+
+
+class TestTraceExport:
+    def test_campaign_sidecar_exports(self, demo_file, tmp_path, capsys):
+        journal = str(tmp_path / "t.jsonl")
+        out = str(tmp_path / "trace.json")
+        assert main(["inject", demo_file, "-t", "edgcf",
+                     "--branch", "loop+12", "--fault", "offset:0",
+                     "--fault", "offset:1", "--jobs", "2",
+                     "--journal", journal]) == 0
+        assert main(["trace", "export", "--journal", journal,
+                     "-o", out]) == 0
+        events = json.load(open(out))["traceEvents"]
+        assert sorted(e["cat"] for e in events if e["ph"] == "X") == \
+            ["chunk", "job", "run", "run"]
+
+    def test_old_sidecar_fails_cleanly(self, tmp_path, capsys):
+        journal = str(tmp_path / "old.jsonl")
+        sidecar = journal + ".trace.jsonl"
+        with open(sidecar, "w") as handle:
+            handle.write(json.dumps({
+                "type": "chunk", "index": 0, "t0": 1.0, "t1": 2.0,
+                "pid": 1, "runs": [], "trace_id": "t", "span_id": "s",
+                "parent_span": None}) + "\n")
+        assert main(["trace", "export", "--journal", journal,
+                     "-o", str(tmp_path / "trace.json")]) == 1
+        err = capsys.readouterr().err
+        assert sidecar in err and "not a span entry" in err
 
 
 class TestDisasm:
