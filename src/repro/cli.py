@@ -336,11 +336,17 @@ def cmd_verify(args) -> int:
 
 def cmd_coverage(args) -> int:
     from repro.analysis import compute_coverage_matrix
+    from repro.faults.campaign import check_int
     program = _load_program(args.file)
     forensics_path = None
     if args.forensics is not None:
         from repro.forensics import bundle_path_for
         forensics_path = bundle_path_for(args.journal)
+    try:
+        check_int("per_category", args.per_category, 1)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"effective seed: {args.seed}")
     if args.journal:
         from repro.faults.journal import CampaignJournal, coverage_header
@@ -385,13 +391,17 @@ def cmd_fuzz(args) -> int:
     knobs = FuzzKnobs().scaled(statements=args.statements,
                                max_loop_depth=args.loop_depth,
                                mem_words=args.mem_words)
-    config = FuzzConfig(seed=args.seed, count=args.count, knobs=knobs,
-                        detect_every=args.detect_every,
-                        max_sites=args.detect_sites,
-                        minimize=not args.no_minimize,
-                        backend=args.backend,
-                        recover=args.recover,
-                        mt_every=args.mt_every)
+    try:
+        config = FuzzConfig(seed=args.seed, count=args.count, knobs=knobs,
+                            detect_every=args.detect_every,
+                            max_sites=args.detect_sites,
+                            minimize=not args.no_minimize,
+                            backend=args.backend,
+                            recover=args.recover,
+                            mt_every=args.mt_every)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.technique:
         config = dataclasses.replace(
             config, techniques=tuple(args.technique),

@@ -153,6 +153,26 @@ class Golden:
         return self.icount * 3 + 20_000
 
 
+def check_bool(key: str, value):
+    """``value``, when it is a boolean; else ValueError naming ``key``.
+    Flag-style input (CLI flags, service params) is checked with this
+    and :func:`check_int`, so both refuse a value in the same words."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be a boolean, not {value!r}")
+    return value
+
+
+def check_int(key: str, value, least: int | None = None):
+    """``value``, when it is an integer of at least ``least``; else
+    ValueError naming ``key``."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{key} must be an integer{bound}, "
+                         f"not {value!r}")
+    return value
+
+
 @dataclass
 class PipelineConfig:
     """How the program runs: which pipeline, technique and policy."""
@@ -224,20 +244,10 @@ class PipelineConfig:
             return value
 
         def flag(key):
-            value = get(key, False)
-            if not isinstance(value, bool):
-                raise ValueError(f"{key} must be a boolean, not "
-                                 f"{value!r}")
-            return value
+            return check_bool(key, get(key, False))
 
         def integer(key, default, least=None):
-            value = get(key, default)
-            if (not isinstance(value, int) or isinstance(value, bool)
-                    or (least is not None and value < least)):
-                bound = "" if least is None else f" >= {least}"
-                raise ValueError(f"{key} must be an integer{bound}, "
-                                 f"not {value!r}")
-            return value
+            return check_int(key, get(key, default), least)
 
         technique = choice("technique", None, (None, *TECHNIQUES))
         pipeline = choice("pipeline", cls.pipeline,
@@ -290,24 +300,10 @@ class Run:
 
     def close(self) -> None:
         """Unlink the machine's parts so reference counting frees it as
-        soon as the run is dropped.  The CPU, memory, backend, DBT
-        session, injector hooks and threaded machine point at each
-        other; the final state stays readable, but the machine must not
-        be stepped again."""
-        cpu = self.cpu
-        memory = cpu.memory
-        memory.write_watch = memory.perm_watch = None
-        cpu._backend_write_watch = cpu._external_write_watch = None
-        cpu.branch_hooks = {}
-        cpu.branch_profiler = None
-        cpu.scheduled_fault = None
-        cpu.thread_api = None
-        backend = cpu.backend
-        if backend is not None:
-            # Compiled blocks link to each other and to the backend.
-            backend.flush()
-            backend.cpu = None
-            cpu.backend = None
+        soon as the run is dropped (:meth:`Cpu.unlink`, plus the DBT
+        session's hooks); the final state stays readable, but the
+        machine must not be stepped again."""
+        self.cpu.unlink()
         if self.dbt is not None:
             self.dbt.translation_listener = None
             self.dbt.inject_redirect = None
@@ -521,7 +517,9 @@ class Pipeline:
     def _fork(self, fault, max_steps: int) -> Run:
         """Run ``fault`` on the pipeline's forked-run machine, from the
         last golden-run rung before the fault fires (under recovery,
-        the last checkpoint boundary)."""
+        the last checkpoint boundary).  A native or static run stops
+        once it rejoins the golden run (:meth:`GoldenLadder.stepper`);
+        a DBT run steps its budget in one go."""
         from repro.faults.fork import GoldenLadder
         config = self.config
         ladder = self._ladder
@@ -553,16 +551,23 @@ class Pipeline:
             if hits is not None:
                 run.injector.count = bisect.bisect_left(hits,
                                                         run.cpu.icount)
-            if not config.recover:
-                run.stop = run.step(max_steps - run.cpu.icount)
+            manager = (self._recovery_manager(run, fault, max_steps)
+                       if config.recover else None)
+            step = run.step
+            if run.dbt is None:
+                step = ladder.stepper(run, fires, max_steps, manager)
+            if manager is None:
+                run.stop = step(max_steps - run.cpu.icount)
             else:
-                manager = self._recovery_manager(run, fault, max_steps)
-                manager.step = ladder.stepper(run, fires, manager)
+                manager.step = step
                 run.stop = manager.execute(
                     ladder.rungs[index].resume,
                     visits=lambda icount: bisect.bisect_left(hits, icount))
                 run.report = manager.report
                 ladder.dirtied = manager.dirtied()
+                # The stepper refers back to the manager: unlink it so
+                # reference counting frees the checkpoints.
+                manager.step = None
         except BaseException:
             # The machine may be left mid-run: the next fork builds a
             # new one.
@@ -866,8 +871,9 @@ def _profile_program(program: Program, max_steps: int, mt=None):
                                   seed=mt.sched_seed)
         stop = machine.run(max_steps=max_steps)
     else:
-        _, stop = run_native(program, max_steps=max_steps,
-                             profiler=profiler)
+        cpu, stop = run_native(program, max_steps=max_steps,
+                               profiler=profiler)
+    cpu.unlink()
     if stop.reason is not StopReason.HALTED:
         raise RuntimeError(f"profiling run failed: {stop}")
     run_cache.put_profile(digest, profile_key, profiler)

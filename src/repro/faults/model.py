@@ -116,8 +116,9 @@ def compute_error_model(program: Program,
     single-bit branch-error model."""
     if profiler is None:
         profiler = BranchProfiler()
-        _, stop = run_native(program, max_steps=max_steps,
-                             profiler=profiler)
+        cpu, stop = run_native(program, max_steps=max_steps,
+                               profiler=profiler)
+        cpu.unlink()
         if stop.reason.value != "halted":
             raise RuntimeError(
                 f"profiling run did not finish: {stop}")

@@ -49,7 +49,8 @@ def sample_model_faults(program: Program, count: int, seed: int = 2006,
     the flag bits — is flipped.
     """
     profiler = BranchProfiler()
-    _, stop = run_native(program, max_steps=max_steps, profiler=profiler)
+    cpu, stop = run_native(program, max_steps=max_steps, profiler=profiler)
+    cpu.unlink()
     if stop.reason is not StopReason.HALTED:
         raise RuntimeError(f"profiling run failed: {stop}")
     rng = random.Random(seed)

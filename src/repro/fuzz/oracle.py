@@ -26,6 +26,7 @@ could run.
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -35,7 +36,8 @@ from repro.checking import Policy
 from repro.faults.campaign import Outcome, Pipeline, PipelineConfig
 from repro.faults.classify import (Category, classify_offset_fault,
                                    corrupted_target)
-from repro.faults.injector import FaultSpec, OffsetBitFault
+from repro.faults.injector import (FaultSpec, OffsetBitFault,
+                                   RegisterFaultSpec)
 from repro.formal import FORMAL_TECHNIQUES
 from repro.formal.conditions import check_conditions
 from repro.formal.model import diamond_cfg, fanin_cfg, loop_cfg
@@ -417,6 +419,7 @@ def enumerate_detection_specs(program: Program, claimed,
     """
     trace = _SiteTrace()
     cpu, stop = run_native(program, max_steps=_MAX_STEPS, profiler=trace)
+    cpu.unlink()
     if stop.reason is not StopReason.HALTED or cpu.exit_code != 0:
         raise OracleError(f"profiling run failed: {stop}")
     cfg = build_cfg(program)
@@ -564,6 +567,68 @@ def check_recovery(program: Program, technique: str,
                 category=category.value, outcome="digest-mismatch",
                 fields=tuple(fields)))
     return failures, len(specs)
+
+
+# -- fork oracle -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ForkDivergence:
+    """A fault whose forked run's record differs from a fresh run's:
+    ``fields`` names the :class:`RunRecord` fields that differ."""
+
+    label: str
+    spec: object
+    fields: tuple
+
+    def describe(self) -> str:
+        return (f"{self.label}: {self.spec.describe()} "
+                f"[{', '.join(self.fields)}]")
+
+
+#: Register bit flips :func:`check_fork` adds to the branch faults.
+FORK_REGISTER_FAULTS = 4
+
+
+def check_fork(program: Program, config: PipelineConfig, seed: int = 0
+               ) -> tuple[list[ForkDivergence], int]:
+    """Run faults forked and fresh on one pipeline; return
+    (divergences, runs).
+
+    The faults are the detection suite's single-bit offset faults in
+    every category it keeps, plus ``FORK_REGISTER_FAULTS`` register bit
+    flips drawn from ``seed``, in an order shuffled by ``seed``, so each
+    forked run rewinds from what another run left.  Each runs through
+    the campaign path (``pipe.run``: forked from the golden ladder,
+    stopping where it rejoins the golden run) and the fresh path
+    (``pipe.execute`` on a new machine); the two records must be equal
+    field for field.
+    """
+    pipe = Pipeline(program, config)
+    rng = random.Random(seed)
+    specs = [spec for spec, _ in enumerate_detection_specs(
+        program, frozenset(Category))]
+    specs += [RegisterFaultSpec(icount=rng.randrange(pipe.golden.icount),
+                                reg=rng.randrange(1, 16),
+                                bit=rng.randrange(32))
+              for _ in range(FORK_REGISTER_FAULTS)]
+    rng.shuffle(specs)
+    budget = pipe.golden.step_budget
+    divergences = []
+    for spec in specs:
+        forked = pipe.run(spec)
+        run = pipe.execute(spec, budget)
+        try:
+            fresh = pipe.classify(run)
+        finally:
+            run.close()
+        if forked != fresh:
+            divergences.append(ForkDivergence(
+                label=config.label(), spec=spec,
+                fields=tuple(name for name in vars(fresh)
+                             if getattr(forked, name)
+                             != getattr(fresh, name))))
+    return divergences, len(specs)
 
 
 # -- combined verdict --------------------------------------------------------

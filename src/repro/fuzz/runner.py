@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.checking import Policy
+from repro.faults.campaign import check_bool, check_int
 from repro.faults.executor import MapError, parallel_map
 from repro.faults.sampling import derive_seed
 from repro.fuzz.generator import FuzzKnobs, generate_source
@@ -75,6 +76,12 @@ class FuzzConfig:
     #: schedule parity included (0 disables; see docs/threads.md).
     mt_every: int = 0
     mt_techniques: tuple = ("ecf",)
+
+    def __post_init__(self):
+        # Every Nth program: a negative N would pick every program.
+        check_int("detect_every", self.detect_every, 0)
+        check_int("mt_every", self.mt_every, 0)
+        check_bool("recover", self.recover)
 
     def program_seed(self, index: int) -> int:
         return derive_seed(self.seed, "program", index)

@@ -571,6 +571,27 @@ class Cpu:
         self.regs[15] = STACK_TOP - 16  # sp
         self._dcache.clear()
 
+    def unlink(self) -> None:
+        """Unlink the machine's parts so reference counting frees it as
+        soon as the last reference to the CPU goes: the memory's
+        watchers, the backend and its compiled blocks, the hooks, the
+        profiler and the threaded machine all point back at the CPU.
+        The final state stays readable, but the CPU must not run
+        again."""
+        memory = self.memory
+        memory.write_watch = memory.perm_watch = None
+        self._backend_write_watch = self._external_write_watch = None
+        self.branch_hooks = {}
+        self.branch_profiler = None
+        self.scheduled_fault = None
+        self.thread_api = None
+        backend = self.backend
+        if backend is not None:
+            # Compiled blocks link to each other and to the backend.
+            backend.flush()
+            backend.cpu = None
+            self.backend = None
+
     def set_external_write_watch(self, watch) -> None:
         """Chain a second write watcher (used by the DBT for SMC)."""
         self._external_write_watch = watch

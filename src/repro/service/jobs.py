@@ -101,7 +101,7 @@ def build_fuzz_config(params: dict):
         max_sites=int(params.get("detect_sites", 12)),
         minimize=not params.get("no_minimize", False),
         backend=params.get("backend", "interp"),
-        recover=bool(params.get("recover", False)),
+        recover=params.get("recover", False),
         mt_every=int(params.get("mt_every", 0)))
     techniques = params.get("techniques")
     if techniques:
@@ -147,6 +147,7 @@ def validate_spec(payload) -> JobSpec:
              "params.jobs must be an integer in [0, 64]")
     from repro.exec import BACKEND_NAMES
     from repro.faults import PipelineConfig
+    from repro.faults.campaign import check_int
     backend = params.get("backend", "interp")
     _require(backend in BACKEND_NAMES,
              f"unknown backend {backend!r}")
@@ -183,8 +184,7 @@ def validate_spec(payload) -> JobSpec:
                 raise ValueError(
                     f"bad fault token {token!r}: {exc}") from exc
     elif kind == "coverage":
-        _require(isinstance(params.get("per_category", 8), int),
-                 "params.per_category must be an integer")
+        check_int("per_category", params.get("per_category", 8), 1)
         _require(isinstance(params.get("seed", 2006), int),
                  "params.seed must be an integer")
         PipelineConfig.from_params({"backend": backend})

@@ -2,7 +2,7 @@
 the golden ladder gives the record a fresh run gives, field for field,
 whether it resumes its manager at a golden checkpoint boundary or takes
 the rest of the golden run once it has converged.  Runs without
-recovery never converge: they execute every instruction."""
+recovery converge the same way."""
 
 from __future__ import annotations
 
@@ -293,11 +293,10 @@ def test_long_recovery_runs_in_any_order(order, backend):
 @pytest.mark.parametrize("recover", [False, True], ids=["plain", "recover"])
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_budget_ends_at_the_golden_suffix(backend, recover, delta):
-    """A recovery run takes the golden run's end once it has converged,
-    and only when its attempt's budget covers it: one step short, the
-    watchdog rolls it back and the next attempt's budget covers it.  A
-    run without recovery executes to its end: one step short it
-    hangs."""
+    """A run takes the golden run's end once it has converged, and only
+    when its attempt's budget covers it: one step short, the watchdog
+    rolls a recovery run back and the next attempt's budget covers it,
+    and a run without recovery executes into its budget and hangs."""
     pipe = Pipeline(PROGRAM, _config("native", backend, recover))
     budget = pipe.golden.icount + delta
     forked, executed_to = run_watched(pipe, FLAG_NOOP, budget)
@@ -305,8 +304,10 @@ def test_budget_ends_at_the_golden_suffix(backend, recover, delta):
     if not recover:
         assert forked.outcome is (Outcome.HANG if delta < 0
                                   else Outcome.BENIGN)
-        assert forked.icount == executed_to == min(budget,
-                                                   pipe.golden.icount)
+        if delta < 0:
+            assert forked.icount == executed_to == budget
+        else:
+            assert executed_to < forked.icount == pipe.golden.icount
     else:
         assert forked.outcome is (Outcome.RECOVERED if delta < 0
                                   else Outcome.BENIGN)
@@ -336,15 +337,12 @@ DEAD_REGISTER = RegisterFaultSpec(icount=2 + 5 * 36, reg=3, bit=4)
 @pytest.mark.parametrize("spec", [DEAD_REGISTER, FLAG_NOOP],
                          ids=["dead-register", "flag-noop"])
 def test_masked_fault_converges_at_the_next_rung(backend, recover, spec):
-    """Under recovery a masked fault's run stops executing at the first
-    rung after the fault fires; without recovery it runs to its end."""
+    """With or without recovery, a masked fault's run stops executing at
+    the first rung after the fault fires."""
     pipe = Pipeline(PROGRAM, _config("native", backend, recover))
     forked, executed_to = run_watched(pipe, spec)
     assert forked == fresh_record(pipe, spec)
     assert forked.outcome is Outcome.BENIGN
-    if not recover:
-        assert executed_to == forked.icount
-        return
     ladder = pipe._ladder
     if isinstance(spec, RegisterFaultSpec):
         fires = spec.icount

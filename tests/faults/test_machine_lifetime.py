@@ -10,7 +10,11 @@ import pytest
 
 from repro.faults import cache as run_cache
 from repro.faults.campaign import (Pipeline,
-                                   enumerate_instrumentation_branch_sites)
+                                   enumerate_instrumentation_branch_sites,
+                                   generate_category_faults,
+                                   generate_thread_faults)
+from repro.faults.model import compute_error_model
+from repro.faults.sampling import sample_model_faults
 from repro.fuzz import capture
 from repro.machine.memory import Memory
 from tests.faults.test_run_path import (BACKENDS, BRANCH_FAULTS, MT_FAULTS,
@@ -95,3 +99,54 @@ def test_forked_runs_share_one_machine(memories, lane, backend):
     for spec in BRANCH_FAULTS.values():
         pipe.run(spec)
     assert len(memories) == 1
+
+
+class TestProfilingRuns:
+    """The profiling run behind fault generation and the error model
+    frees its machine before the call returns."""
+
+    def test_category_faults(self, memories):
+        assert generate_category_faults(PROGRAM, per_category=2).total()
+        assert len(memories) == 0
+
+    def test_thread_faults(self, memories):
+        """The threaded profile runs the program under the threaded
+        machine."""
+        config = _config("mt-static-ecf", "interp", False)
+        assert generate_thread_faults(MT_PROGRAM, config, [0, 1],
+                                      per_thread=2)
+        assert len(memories) == 0
+
+    def test_model_faults(self, memories):
+        assert sample_model_faults(PROGRAM, count=4)
+        assert len(memories) == 0
+
+    def test_error_model(self, memories):
+        assert compute_error_model(PROGRAM).total > 0
+        assert len(memories) == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("lane", ("native", "static-rcf"))
+def test_forked_recovery_runs_free_their_manager(monkeypatch, lane,
+                                                 backend):
+    """A forked recovery run's manager, and the checkpoint page images
+    it holds, go with the run."""
+    from repro.recovery.manager import RecoveryManager
+    alive = weakref.WeakSet()
+    init = RecoveryManager.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.add(self)
+
+    monkeypatch.setattr(RecoveryManager, "__init__", tracked)
+    pipe = Pipeline(PROGRAM, _config(lane, backend, True))
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in BRANCH_FAULTS.values():
+            pipe.run(spec)
+        assert len(alive) == 0
+    finally:
+        gc.enable()

@@ -173,6 +173,32 @@ class TestApiSurface:
             assert named in str(err.value), config
         assert client.jobs() == []
 
+    def test_bad_campaign_params_are_400(self, service, sum_loop_src):
+        """Fuzz and coverage params the CLI refuses (tests/test_cli.py),
+        refused in the same words."""
+        server, client = service
+        for kind, params, message in [
+                ("fuzz", {"recover": "no"},
+                 "recover must be a boolean, not 'no'"),
+                ("fuzz", {"mt_every": -1},
+                 "mt_every must be an integer >= 0, not -1"),
+                ("fuzz", {"detect_every": -2},
+                 "detect_every must be an integer >= 0, not -2"),
+                ("coverage", {"per_category": -5},
+                 "per_category must be an integer >= 1, not -5")]:
+            payload = {"kind": kind, "params": params}
+            if kind == "coverage":
+                payload["program"] = sum_loop_src
+            with pytest.raises(ServiceError) as err:
+                client.submit(payload)
+            assert err.value.status == 400, params
+            assert message in str(err.value), params
+        assert client.jobs() == []
+
+    def test_detect_every_zero_turns_detection_off(self):
+        from repro.service.jobs import build_fuzz_config
+        assert build_fuzz_config({"detect_every": 0}).detect_every == 0
+
     def test_quota_is_429(self, service, sum_loop_src):
         server, client = service
         server.orchestrator.max_active_per_tenant = 0

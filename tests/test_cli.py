@@ -255,6 +255,23 @@ class TestInject:
         assert named in capsys.readouterr().err
         assert not journal.exists()
 
+    @pytest.mark.parametrize("command,message", [
+        (["fuzz", "--count", "1", "--mt-every", "-1"],
+         "mt_every must be an integer >= 0, not -1"),
+        (["fuzz", "--count", "1", "--detect-every", "-2"],
+         "detect_every must be an integer >= 0, not -2"),
+        (["coverage", "{demo}", "--per-category", "-5"],
+         "per_category must be an integer >= 1, not -5"),
+    ])
+    def test_bad_campaign_flags_exit_2(self, demo_file, capsys, command,
+                                       message):
+        """The same words as the service's 400 (tests/service)."""
+        argv = [arg.format(demo=demo_file) for arg in command]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert "effective seed" not in out
+
     def test_retries_and_timeout_flags(self, demo_file):
         assert main(["inject", demo_file, "-t", "rcf",
                      "--branch", "loop+12", "--fault", "direction",
