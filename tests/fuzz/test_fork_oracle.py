@@ -13,16 +13,26 @@ from repro.fuzz.generator import FuzzKnobs, generate_program
 from repro.fuzz.oracle import ForkDivergence, check_fork
 
 #: Static rewriting needs direct branches; ECCA also needs no returns.
+#: The DBT translates indirect branches too.
 KNOBS = FuzzKnobs.tiny().scaled(indirect=False)
 LANES = (("native", None), ("static", "rcf"), ("static", "ecca"))
+#: DBT recovery runs run fresh: only runs without recovery fork there.
+DBT_LANES = (("dbt", "rcf"), ("dbt", None))
+BACKENDS = ("interp", "block")
 COMBOS = [(pipeline, technique, backend, recover)
           for pipeline, technique in LANES
-          for backend in ("interp", "block")
+          for backend in BACKENDS
           for recover in (False, True)]
-SEEDS = 30
+COMBOS += [(pipeline, technique, backend, False)
+           for pipeline, technique in DBT_LANES
+           for backend in BACKENDS]
+#: Three programs for the first six combinations, two for the rest.
+SEEDS = 38
 
 
-def _program(seed: int, technique: str | None):
+def _program(seed: int, pipeline: str, technique: str | None):
+    if pipeline == "dbt":
+        return generate_program(seed, FuzzKnobs.tiny())
     knobs = KNOBS.scaled(functions=0) if technique == "ecca" else KNOBS
     return generate_program(seed, knobs)
 
@@ -34,8 +44,8 @@ def test_forked_runs_match_fresh_runs(seed):
     pipeline, technique, backend, recover = COMBOS[seed % len(COMBOS)]
     config = PipelineConfig(pipeline, technique, Policy.ALLBB,
                             backend=backend, recover=recover)
-    divergences, runs = check_fork(_program(seed, technique), config,
-                                   seed=seed)
+    program = _program(seed, pipeline, technique)
+    divergences, runs = check_fork(program, config, seed=seed)
     assert runs > 4
     assert [d.describe() for d in divergences] == []
 
