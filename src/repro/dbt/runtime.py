@@ -65,13 +65,12 @@ class DbtResult:
 
 @dataclass(frozen=True)
 class TranslationState:
-    """Everything translation mutates outside machine memory, as of one
-    point of a run (see :meth:`Dbt.snapshot`).
-
-    The code cache's words and the guest pages' permissions live in
-    the machine's memory and are rewound with it; this record holds the
-    rest: the translation tables, which exit slots are chained, the
-    allocation cursors, the entry stub and the flush counters.
+    """Everything translation mutates outside the machine's memory
+    contents, as of one point of a run (see :meth:`Dbt.snapshot`): the
+    translation tables, which exit slots are chained, the allocation
+    cursors, the entry stub, the flush counters and the page
+    permissions (translation alone changes them after load).  The code
+    cache's words are rewound with the rest of memory.
     """
 
     blocks: dict
@@ -88,6 +87,7 @@ class TranslationState:
     smc_flushes: int
     protected_pages: frozenset
     dirty_pages: frozenset
+    perms: bytes
     smc_store: tuple | None = None
 
 
@@ -305,14 +305,15 @@ class Dbt:
             smc_flushes=self.smc_flushes,
             protected_pages=frozenset(self._protected_pages),
             dirty_pages=frozenset(self._dirty_pages),
+            perms=share(self.cpu.memory.perms, "perms", bytes),
             smc_store=self._smc_store)
 
     def restore(self, state: TranslationState) -> None:
         """Put the translation state back to ``state``.
 
         Containers are refilled in place (the CPU shares the check-site
-        set).  The code cache's words and the guest pages' permissions
-        are the caller's to restore, with the rest of memory."""
+        set).  The code cache's words are the caller's to restore, with
+        the rest of memory."""
         for live, saved in ((self.blocks, state.blocks),
                             (self._suffixes, state.suffixes),
                             (self.slots, state.slots),
@@ -332,6 +333,7 @@ class Dbt:
         self.flushes = state.flushes
         self.smc_flushes = state.smc_flushes
         self._smc_store = state.smc_store
+        self.cpu.memory.restore_perms(state.perms)
 
     def lookup_cache_addr(self, guest_addr: int) -> int | None:
         """Cache address for a guest instruction address, if translated."""

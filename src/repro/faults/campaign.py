@@ -710,13 +710,10 @@ class Pipeline:
         step = run.step
         epoch = entry_restart = None
         machine = run.machine
-        extra_capture = extra_restore = None
-        if machine is not None:
-            # Checkpoints must capture every thread, not just the one
-            # occupying the CPU: saved contexts, the ready queue and
-            # its RNG, mutexes, the quantum in flight.
-            extra_capture = machine.snapshot_sched_state
-            extra_restore = machine.restore_sched_state
+        # Checkpoints must capture every thread, not just the one
+        # occupying the CPU: saved contexts, the ready queue and its
+        # RNG, mutexes, the quantum in flight.
+        components = () if machine is None else (machine,)
         dbt = run.dbt
         if dbt is not None:
             # The entry stub is primed eagerly so the entry checkpoint's
@@ -769,7 +766,7 @@ class Pipeline:
             injector=injector, reinstall=reinstall,
             persistent=getattr(fault, "persistent", False),
             epoch=epoch, entry_restart=entry_restart,
-            extra_capture=extra_capture, extra_restore=extra_restore)
+            components=components)
 
     def _apply_recovery(self, record: RunRecord, report) -> RunRecord:
         """Fold a RecoveryReport into the run's record and outcome.

@@ -8,13 +8,13 @@ the prefix — repeats work the golden run already did.  A
 :class:`~repro.faults.campaign.Pipeline` keeps for forked runs, and
 stops every :func:`rung_spacing` instructions to record a *rung*:
 
-* the CPU's registers, counters, latches and output lengths;
-* the memory: the page permissions, plus an image of every page the
-  walk has dirtied so far (pages are journalled through
-  ``Memory.cow`` with its bound raised to the whole memory, so DBT
-  code-cache pages count like any other; an image is shared by every
-  rung until its page is dirtied again);
-* under the DBT, the translation state (:meth:`Dbt.snapshot`).
+* a :class:`~repro.machine.state.MachineState`: the CPU's registers,
+  counters, latches and output lengths and, under the DBT, the
+  translation state and page permissions (:meth:`Dbt.snapshot`);
+* an image of every page the walk has dirtied so far (pages are
+  journalled through ``Memory.cow`` with its bound raised to the whole
+  memory, so DBT code-cache pages count like any other; an image is
+  shared by every rung until its page is dirtied again).
 
 Under recovery the walk also stops at every checkpoint boundary a
 :class:`~repro.recovery.RecoveryManager` reaches on the golden run, and
@@ -30,9 +30,9 @@ checkpoint boundary): :meth:`GoldenLadder.rewind` restores that rung,
 the caller installs the injector with its occurrence count seeded from
 the rung, and steps the machine with the fresh run's step budget minus
 the rung's icount.  Pages the previous run dirtied come back through
-``Memory.write_raw``, one span of changed bytes per page, so decode
-caches and compiled blocks invalidate exactly as they do after a
-recovery rollback, and blocks on untouched code stay compiled.  A
+``Memory.restore_page``, one span of changed bytes per page, as in a
+recovery rollback, so decode caches and compiled blocks invalidate
+exactly as they do there, and blocks on untouched code stay compiled.  A
 native or static run on the block backend also goes back to the blocks
 the walk compiled: blocks the previous run compiled off the golden
 path are dropped (:meth:`BlockCompileBackend.retain`).
@@ -68,6 +68,7 @@ from dataclasses import dataclass, replace
 from repro.isa.opcodes import Op
 from repro.machine import StopReason
 from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, PERM_W, PERM_X
+from repro.machine.state import MachineState
 from repro.machine.syscalls import Service
 
 #: Rungs per golden run: the spacing is the golden run's length over
@@ -109,20 +110,9 @@ class _EveryBranch(dict):
 class Rung:
     """The machine at one instruction boundary of the golden run."""
 
-    icount: int
-    pc: int
-    cycles: int
-    regs: tuple
-    flags: int
-    exit_code: int | None
-    cfc_error: bool
-    output_len: int
-    output_values_len: int
-    perms: bytes
+    state: MachineState
     #: page -> content, for every page the walk had dirtied by here
     images: dict
-    #: the DBT's translation state (None outside the DBT pipeline)
-    translation: object = None
     #: the recovery manager's state, at a checkpoint boundary
     resume: object = None
 
@@ -140,6 +130,8 @@ class GoldenLadder:
     def __init__(self, run, golden, checkpoint_interval=None):
         self.run = run
         self.golden = golden
+        #: the machine's ``MachineState`` components: the DBT, if any
+        self.components = () if run.dbt is None else (run.dbt,)
         self.spacing = rung_spacing(golden.icount)
         self.rungs: list[Rung] = []
         #: page -> content before the walk, for every page the walk
@@ -158,7 +150,7 @@ class GoldenLadder:
         #: golden run only with the rung's cycle count
         self.reads_cycles = False
         self._walk(golden, checkpoint_interval)
-        self.icounts = [rung.icount for rung in self.rungs]
+        self.icounts = [rung.state.icount for rung in self.rungs]
         #: the rungs at checkpoint boundaries, and their icounts
         self.boundaries = [index for index, rung in enumerate(self.rungs)
                            if rung.resume is not None]
@@ -270,22 +262,14 @@ class GoldenLadder:
         # fault run forked from the last rung.
         self.at = len(self.rungs) - 1
         for index, rung in enumerate(self.rungs):
-            self.states.setdefault((rung.pc, rung.flags, rung.regs),
-                                   []).append(index)
+            key = (rung.state.pc, rung.state.flags, rung.state.regs)
+            self.states.setdefault(key, []).append(index)
 
     def _rung(self, images: dict, resume) -> Rung:
-        cpu, dbt = self.run.cpu, self.run.dbt
-        previous = self.rungs[-1].translation if self.rungs else None
-        return Rung(
-            icount=cpu.icount, pc=cpu.pc, cycles=cpu.cycles,
-            regs=tuple(cpu.regs), flags=cpu.flags,
-            exit_code=cpu.exit_code, cfc_error=cpu.cfc_error,
-            output_len=len(cpu.output),
-            output_values_len=len(cpu.output_values),
-            perms=bytes(cpu.memory.perms), images=images,
-            translation=(dbt.snapshot(previous)
-                         if dbt is not None else None),
-            resume=resume)
+        previous = self.rungs[-1].state if self.rungs else None
+        return Rung(MachineState.capture(self.run.cpu, self.components,
+                                         previous),
+                    images, resume)
 
     def _image(self, rung: Rung, page: int, journal=None) -> bytes:
         """``page`` as the golden run held it at ``rung``.  A page the
@@ -343,29 +327,21 @@ class GoldenLadder:
             pages.update(_moved(self.rungs[self.at].images, target.images))
         mem.cow = None
         for page in pages:
-            _restore_page(mem, page, self._image(target, page, journal))
+            mem.restore_page(page, self._image(target, page, journal))
         mem.cow = {}
         mem.cow_bound = mem.size
         self.at = index
         self.dirtied = set()
-        if mem.perms != target.perms:
-            _restore_perms(mem, target.perms)
-        cpu.pc = target.pc
-        cpu.icount = target.icount
-        cpu.cycles = target.cycles
-        cpu.regs[:] = target.regs
-        cpu.flags = target.flags
-        cpu.exit_code = target.exit_code
-        cpu.cfc_error = target.cfc_error
-        cpu.output[:] = self.output[:target.output_len]
-        cpu.output_values[:] = \
-            self.output_values[:target.output_values_len]
+        state = target.state
+        state.restore(cpu, self.components)
+        # Not truncated: the previous run may have printed otherwise.
+        cpu.output[:] = self.output[:state.output_len]
+        cpu.output_values[:] = self.output_values[:state.output_values_len]
         cpu.branch_hooks.clear()
         cpu.scheduled_fault = None
         if self.blocks is not None:
             cpu.backend.retain(self.blocks)
         if dbt is not None:
-            dbt.restore(target.translation)
             dbt.translation_listener = None
             dbt.inject_redirect = None
         return replace(run)
@@ -469,26 +445,24 @@ class GoldenLadder:
     def _converged(self, cpu, index: int, written) -> bool:
         """Is the machine, already at rung ``index``'s pc, flags and
         registers, in the rest of that rung's state: the same latches,
-        outputs, page permissions and content of every page either run
-        has dirtied since the rung it forked from (``written()``: a new
-        set of the pages the run wrote), and, when the code reads the
-        cycle counter, the same cycle count?"""
+        outputs and content of every page either run has dirtied since
+        the rung it forked from (``written()``: a new set of the pages
+        the run wrote), and, when the code reads the cycle counter, the
+        same cycle count?  (Outside the DBT nothing changes page
+        permissions after load.)"""
         rung = self.rungs[index]
-        mem = cpu.memory
-        if (cpu.exit_code != rung.exit_code
-                or cpu.cfc_error != rung.cfc_error
-                or (self.reads_cycles and cpu.cycles != rung.cycles)
-                or len(cpu.output) != rung.output_len
-                or len(cpu.output_values) != rung.output_values_len
-                or mem.perms != rung.perms
-                or cpu.output != self.output[:rung.output_len]
+        state = rung.state
+        if (cpu.exit_code != state.exit_code
+                or cpu.cfc_error != state.cfc_error
+                or (self.reads_cycles and cpu.cycles != state.cycles)
+                or cpu.output != self.output[:state.output_len]
                 or cpu.output_values
-                != self.output_values[:rung.output_values_len]):
+                != self.output_values[:state.output_values_len]):
             return False
         pages = written()
         if index != self.at:
             pages.update(_moved(self.rungs[self.at].images, rung.images))
-        data = mem.data
+        data = cpu.memory.data
         for page in pages:
             start = page << PAGE_SHIFT
             if data[start:start + PAGE_SIZE] != self._image(rung, page):
@@ -498,10 +472,10 @@ class GoldenLadder:
     def _take_rest(self, cpu, index: int):
         """Finish a run in rung ``index``'s state as the golden run
         finishes from that rung; the memory stays at the rung."""
-        rung = self.rungs[index]
+        state = self.rungs[index].state
         golden = self.golden
-        cpu.icount += golden.icount - rung.icount
-        cpu.cycles += golden.cycles - rung.cycles
+        cpu.icount += golden.icount - state.icount
+        cpu.cycles += golden.cycles - state.cycles
         cpu.output[:] = self.output
         cpu.output_values[:] = self.output_values
         cpu.exit_code = self.exit_code
@@ -534,25 +508,3 @@ def _moved(now: dict, then: dict) -> set:
     wider = now if len(now) >= len(then) else then
     return {page for page in wider if now.get(page) is not then.get(page)}
 
-
-def _restore_page(mem, page: int, image: bytes) -> None:
-    """Write back the span of ``page`` that differs from ``image``."""
-    start = page << PAGE_SHIFT
-    now = mem.data[start:start + PAGE_SIZE]
-    if now == image:
-        return
-    diff = (int.from_bytes(now, "little")
-            ^ int.from_bytes(image, "little"))
-    low = ((diff & -diff).bit_length() - 1) >> 3
-    high = (diff.bit_length() + 7) >> 3
-    mem.write_raw(start + low, image[low:high])
-
-
-def _restore_perms(mem, perms: bytes) -> None:
-    """Put the page permissions back; pages whose execute bit changes
-    notify the permission watcher, as ``Memory.set_perms`` would."""
-    for page, (now, then) in enumerate(zip(mem.perms, perms)):
-        if now != then:
-            mem.perms[page] = then
-            if (now ^ then) & PERM_X and mem.perm_watch is not None:
-                mem.perm_watch(page << PAGE_SHIFT, PAGE_SIZE)

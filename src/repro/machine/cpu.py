@@ -607,13 +607,6 @@ class Cpu:
 
     # -- helpers -----------------------------------------------------------
 
-    def snapshot_state(self) -> tuple[int, int, int, tuple[int, ...], int]:
-        """Architectural-state snapshot ``(pc, icount, cycles, regs,
-        flags)`` — a point-in-time copy, safe to keep across further
-        execution (used by the forensics flight recorder)."""
-        return (self.pc, self.icount, self.cycles,
-                tuple(self.regs), self.flags)
-
     def signed(self, reg: int) -> int:
         value = self.regs[reg]
         return value - 0x100000000 if value & _SIGN else value

@@ -86,6 +86,17 @@ class Memory:
         if self.perm_watch is not None:
             self.perm_watch(start, length)
 
+    def restore_perms(self, perms: bytes) -> None:
+        """Put the page permissions back to ``perms``, notifying the
+        permission watcher of pages whose execute bit changes."""
+        if self.perms == perms:
+            return
+        for page, (now, then) in enumerate(zip(self.perms, perms)):
+            if now != then:
+                self.perms[page] = then
+                if (now ^ then) & PERM_X and self.perm_watch is not None:
+                    self.perm_watch(page << PAGE_SHIFT, PAGE_SIZE)
+
     def perms_at(self, addr: int) -> int:
         if not 0 <= addr < self.size:
             return 0
@@ -112,13 +123,25 @@ class Memory:
         if self.write_watch is not None:
             self.write_watch(addr, len(blob))
 
+    def restore_page(self, page: int, image: bytes) -> bool:
+        """Make ``page`` hold ``image`` by writing back, through
+        :meth:`write_raw`, the one span of bytes that differs; returns
+        whether anything differed."""
+        start = page << PAGE_SHIFT
+        now = self.data[start:start + PAGE_SIZE]
+        if now == image:
+            return False
+        diff = (int.from_bytes(now, "little")
+                ^ int.from_bytes(image, "little"))
+        low = ((diff & -diff).bit_length() - 1) >> 3
+        high = (diff.bit_length() + 7) >> 3
+        self.write_raw(start + low, image[low:high])
+        return True
+
     def read_raw(self, addr: int, length: int) -> bytes:
         if not 0 <= addr <= addr + length <= self.size:
             raise MachineError(f"raw read outside memory: {addr:#x}")
         return bytes(self.data[addr:addr + length])
-
-    def write_word_raw(self, addr: int, value: int) -> None:
-        self.write_raw(addr, (value & 0xFFFFFFFF).to_bytes(4, "little"))
 
     def read_word_raw(self, addr: int) -> int:
         return int.from_bytes(self.read_raw(addr, 4), "little")

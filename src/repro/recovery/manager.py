@@ -106,8 +106,7 @@ class RecoveryManager:
                  interval: int = DEFAULT_CHECKPOINT_INTERVAL,
                  max_retries: int = DEFAULT_MAX_RETRIES,
                  injector=None, reinstall=None, persistent: bool = False,
-                 epoch=None, entry_restart=None,
-                 extra_capture=None, extra_restore=None,
+                 epoch=None, entry_restart=None, components=(),
                  max_live: int = MAX_LIVE_CHECKPOINTS):
         self.cpu = cpu
         self.step = step
@@ -120,12 +119,11 @@ class RecoveryManager:
         self.persistent = persistent
         self.epoch = epoch if epoch is not None else (lambda: 0)
         self.entry_restart = entry_restart
-        #: harness-side state carried with every checkpoint (e.g. the
-        #: multithreaded machine's saved contexts and ready queue):
-        #: ``extra_capture()`` is stored on capture, ``extra_restore
-        #: (value)`` is invoked after the CPU rollback.
-        self.extra_capture = extra_capture
-        self.extra_restore = extra_restore
+        #: state outside the CPU every checkpoint captures and every
+        #: rollback restores (the multithreaded machine's saved
+        #: contexts and ready queue), as ``MachineState`` components;
+        #: never the DBT, whose flush epoch guards stale PCs instead
+        self.components = components
         self.max_live = max_live
         self.checkpoints: list = []
         self.report = RecoveryReport(interval=self.interval)
@@ -199,13 +197,13 @@ class RecoveryManager:
     def _resume(self, point: ResumePoint, visits) -> None:
         unfired = self._injector_mark() is not None
         self.checkpoints = [
-            replace(cp, injector_state=((visits(cp.icount), False, None,
-                                         None) if unfired else None))
+            replace(cp, injector_state=((visits(cp.state.icount), False,
+                                         None, None) if unfired else None))
             for cp in point.checkpoints]
         self.segment = point.segment
         self.clean_streak = point.clean_streak
         self.report.checkpoints = point.captured
-        self.attempt_base = self.checkpoints[0].icount
+        self.attempt_base = self.checkpoints[0].state.icount
 
     def attempt_end(self) -> int:
         """The icount at which the current attempt's budget runs out."""
@@ -225,8 +223,7 @@ class RecoveryManager:
         self.checkpoints.append(capture_checkpoint(
             self.cpu, ordinal=len(self.checkpoints), epoch=self.epoch(),
             injector_state=self._injector_mark(),
-            extra=(self.extra_capture()
-                   if self.extra_capture is not None else None)))
+            components=self.components))
         prune_checkpoints(self.checkpoints, self.max_live)
         if registry is not None:
             obs.counter("recovery_checkpoints_total",
@@ -253,14 +250,12 @@ class RecoveryManager:
         cpu = self.cpu
         index = self._pick_target()
         cp = self.checkpoints[index]
-        distance = cpu.icount - cp.icount
-        discarded = cpu.cycles - cp.cycles
+        distance = cpu.icount - cp.state.icount
+        discarded = cpu.cycles - cp.state.cycles
         self.touched.update(cpu.memory.cow)
         for later in self.checkpoints[index + 1:]:
             self.touched.update(later.pages)
-        restore_checkpoint(cpu, self.checkpoints, index)
-        if self.extra_restore is not None and cp.extra is not None:
-            self.extra_restore(cp.extra)
+        restore_checkpoint(cpu, self.checkpoints, index, self.components)
         if index == 0:
             self.report.restarts += 1
             obs.counter("recovery_restarts_total",
@@ -271,7 +266,7 @@ class RecoveryManager:
                 # saved PC points at a dead stub.  Re-prime and refresh
                 # the checkpoint so later restarts stay consistent.
                 self.entry_restart()
-                cp.pc = cpu.pc
+                cp.state = replace(cp.state, pc=cpu.pc)
                 cp.epoch = self.epoch()
         else:
             obs.counter("recovery_rollbacks_total",
@@ -289,7 +284,7 @@ class RecoveryManager:
             "event": "restart" if index == 0 else "rollback",
             "trigger": trigger,
             "target": cp.ordinal,
-            "target_icount": cp.icount,
+            "target_icount": cp.state.icount,
             "distance_icount": distance,
             "discarded_cycles": discarded,
         })

@@ -144,7 +144,7 @@ class TestLadder:
         ladder = pipe._ladder
         spacing = rung_spacing(pipe.golden.icount)
         assert ladder.spacing == spacing
-        assert [rung.icount for rung in ladder.rungs] == list(
+        assert [rung.state.icount for rung in ladder.rungs] == list(
             range(0, pipe.golden.icount, spacing))
         assert len(ladder.rungs) > 5
 
@@ -249,7 +249,7 @@ def run_traced(monkeypatch, pipe: Pipeline, spec,
     take_rest, converged = GoldenLadder._take_rest, GoldenLadder._converged
 
     def traced_take_rest(ladder, cpu, index):
-        offsets.append(cpu.icount - ladder.rungs[index].icount)
+        offsets.append(cpu.icount - ladder.rungs[index].state.icount)
         return take_rest(ladder, cpu, index)
 
     def traced_converged(ladder, cpu, index, written):
@@ -522,5 +522,6 @@ def test_golden_prefix_with_a_cache_flush(backend):
     for order in (specs, specs[::-1]):
         forked = {id(spec): pipe.run(spec) for spec in order}
         assert [forked[id(spec)] for spec in specs] == fresh
-    flushes = [rung.translation.flushes for rung in pipe._ladder.rungs]
+    flushes = [rung.state.components[0].flushes
+               for rung in pipe._ladder.rungs]
     assert flushes[0] == 0 and flushes[-1] >= 1

@@ -268,7 +268,7 @@ def test_recovery_runs_fork_past_the_entry(interval):
         ladder.pc_hits[pipe._site(_LONG_OUTER)], 40)[1]
     index = ladder.fork_rung(fires, pipe.golden.step_budget, True)
     assert ladder.rungs[index].resume is not None
-    assert 0 < ladder.rungs[index].icount <= fires
+    assert 0 < ladder.rungs[index].state.icount <= fires
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])

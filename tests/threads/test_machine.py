@@ -252,13 +252,13 @@ class TestSchedSnapshot:
         cpu.load_program(assemble(program), executable_text=True)
         machine = ThreadedMachine(cpu, quantum=37)
         machine.run(max_steps=400)              # mid-flight
-        snap = machine.snapshot_sched_state()
+        snap = machine.snapshot()
         contexts = {tid: ctx.snapshot()
                     for tid, ctx in machine.contexts.items()}
         queue = machine.scheduler.ready_tids()
         trace_len = len(machine.trace)
         machine.run(max_steps=800)              # mutate further
-        machine.restore_sched_state(snap)
+        machine.restore(snap)
         assert {tid: ctx.snapshot()
                 for tid, ctx in machine.contexts.items()} == contexts
         assert machine.scheduler.ready_tids() == queue
