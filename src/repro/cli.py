@@ -173,6 +173,16 @@ def parse_fault_token(program, token: str, branch: str = "0",
                      thread=thread)
 
 
+def check_fault_target(params: dict) -> tuple[int, int | None]:
+    """``(occurrence, thread)`` from CLI flags or service params: the
+    visit that faults strike (>= 1) and the guest thread whose visits
+    count (>= 0, or None for all); else ValueError naming the key."""
+    from repro.faults.campaign import check_int
+    thread = params.get("thread")
+    return (check_int("occurrence", params.get("occurrence", 1), 1),
+            None if thread is None else check_int("thread", thread, 0))
+
+
 def _parse_fault_spec(program, args, token):
     try:
         return parse_fault_token(program, token, branch=args.branch,
@@ -188,9 +198,10 @@ def cmd_inject(args) -> int:
     from repro.faults import CampaignExecutor, Outcome, PipelineConfig
     from repro.faults.journal import CampaignJournal, inject_header
     program = _load_program(args.file)
-    specs = [_parse_fault_spec(program, args, token)
-             for token in args.fault]
     try:
+        check_fault_target(vars(args))
+        specs = [_parse_fault_spec(program, args, token)
+                 for token in args.fault]
         config = PipelineConfig.from_params(vars(args))
         if args.journal:
             CampaignJournal(args.journal).start(inject_header(config),
@@ -476,8 +487,9 @@ def cmd_explain(args) -> int:
             print("error: give --fault (inline spec) or "
                   "--bundle/--journal (+ --index)", file=sys.stderr)
             return 1
-        spec = _parse_fault_spec(program, args, args.fault)
         try:
+            check_fault_target(vars(args))
+            spec = _parse_fault_spec(program, args, args.fault)
             config = PipelineConfig.from_params(vars(args))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

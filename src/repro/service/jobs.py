@@ -173,13 +173,13 @@ def validate_spec(payload) -> JobSpec:
                  "inject jobs run the DBT pipeline (the native or "
                  "static one with threads); drop params.pipeline")
         PipelineConfig.from_params(params)
-        from repro.cli import parse_fault_token
+        from repro.cli import check_fault_target, parse_fault_token
+        occurrence, _ = check_fault_target(params)
         for token in faults:
             try:
                 parse_fault_token(assembled, token,
                                   branch=str(params.get("branch", "0")),
-                                  occurrence=int(
-                                      params.get("occurrence", 1)))
+                                  occurrence=occurrence)
             except (ValueError, KeyError) as exc:
                 raise ValueError(
                     f"bad fault token {token!r}: {exc}") from exc
@@ -370,18 +370,15 @@ def _resume_flag(job: Job) -> bool:
 
 
 def _run_inject(job: Job) -> dict:
-    from repro.cli import parse_fault_token
+    from repro.cli import check_fault_target, parse_fault_token
     from repro.faults import CampaignExecutor, PipelineConfig
     from repro.faults.journal import CampaignJournal, inject_header
     params = job.spec.params
     program = _assemble(job.spec.program, job.spec.name)
-    thread = params.get("thread")
+    occurrence, thread = check_fault_target(params)
     specs = [parse_fault_token(program, token,
                                branch=str(params.get("branch", "0")),
-                               occurrence=int(params.get("occurrence",
-                                                         1)),
-                               thread=(None if thread is None
-                                       else int(thread)))
+                               occurrence=occurrence, thread=thread)
              for token in params["faults"]]
     config = PipelineConfig.from_params(params)
     resume = _resume_flag(job)

@@ -174,8 +174,8 @@ class TestApiSurface:
         assert client.jobs() == []
 
     def test_bad_campaign_params_are_400(self, service, sum_loop_src):
-        """Fuzz and coverage params the CLI refuses (tests/test_cli.py),
-        refused in the same words."""
+        """Fuzz, coverage and inject params the CLI refuses
+        (tests/test_cli.py), refused in the same words."""
         server, client = service
         for kind, params, message in [
                 ("fuzz", {"recover": "no"},
@@ -185,9 +185,23 @@ class TestApiSurface:
                 ("fuzz", {"detect_every": -2},
                  "detect_every must be an integer >= 0, not -2"),
                 ("coverage", {"per_category": -5},
-                 "per_category must be an integer >= 1, not -5")]:
+                 "per_category must be an integer >= 1, not -5"),
+                ("inject", {"occurrence": 0},
+                 "occurrence must be an integer >= 1, not 0"),
+                ("inject", {"occurrence": 1.5},
+                 "occurrence must be an integer >= 1, not 1.5"),
+                ("inject", {"thread": -3},
+                 "thread must be an integer >= 0, not -3"),
+                ("inject", {"thread": "x"},
+                 "thread must be an integer >= 0, not 'x'"),
+                ("inject", {"thread": 1.5},
+                 "thread must be an integer >= 0, not 1.5"),
+                ("inject", {"thread": [1]},
+                 "thread must be an integer >= 0, not [1]")]:
             payload = {"kind": kind, "params": params}
-            if kind == "coverage":
+            if kind == "inject":
+                params["faults"] = ["direction"]
+            if kind != "fuzz":
                 payload["program"] = sum_loop_src
             with pytest.raises(ServiceError) as err:
                 client.submit(payload)

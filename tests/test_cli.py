@@ -262,6 +262,10 @@ class TestInject:
          "detect_every must be an integer >= 0, not -2"),
         (["coverage", "{demo}", "--per-category", "-5"],
          "per_category must be an integer >= 1, not -5"),
+        (["inject", "{demo}", "--fault", "direction", "--occurrence", "0"],
+         "occurrence must be an integer >= 1, not 0"),
+        (["inject", "{demo}", "--fault", "direction", "--thread", "-3"],
+         "thread must be an integer >= 0, not -3"),
     ])
     def test_bad_campaign_flags_exit_2(self, demo_file, capsys, command,
                                        message):
