@@ -42,19 +42,20 @@ recovery is on and there is a fault.  :meth:`Pipeline.run` classifies
 the result and then unlinks the machine (:meth:`Run.close`), so
 reference counting frees it.
 
-:meth:`Pipeline.run` *forks* single-threaded branch, cache-level and
-register fault runs instead (:mod:`repro.faults.fork`): one machine
-kept on the pipeline is rewound to the last golden-run rung before the
-fault fires, and the run steps from there with the rest of its step
-budget.  A recovery run is rewound to the last checkpoint boundary of
-the golden run before the fault fires, where its manager resumes with
-the golden run's checkpoints, and stops as soon as it has converged
-with the golden run, taking the rest of the golden run instead of
-executing it.  The record is the one a fresh run gives.  Golden runs,
-probed runs, oracle captures, DBT recovery, threads and chaos specs
-stay on the fresh path.  Detection latency is set only on runs without
-recovery; a recovered run reports its attempts and rollback distance
-instead.
+:meth:`Pipeline.run` *forks* branch, cache-level and register fault
+runs instead, and on the multithreaded machine scheduler fault runs
+too (:mod:`repro.faults.fork`): one machine kept on the pipeline is
+rewound to the last golden-run rung before the fault fires, with the
+scheduler when threads are on, and the run steps from there with the
+rest of its step budget.  A recovery run is rewound to the last
+checkpoint boundary of the golden run before the fault fires, where
+its manager resumes with the golden run's checkpoints, and stops as
+soon as it has converged with the golden run, taking the rest of the
+golden run instead of executing it.  The record is the one a fresh run
+gives.  Golden runs, probed runs, oracle captures, DBT and threaded
+recovery and chaos specs stay on the fresh path.  Detection latency is
+set only on runs without recovery; a recovered run reports its
+attempts and rollback distance instead.
 """
 
 from __future__ import annotations
@@ -501,17 +502,20 @@ class Pipeline:
     # -- forked fault runs (repro.faults.fork) -------------------------------
 
     def _forks(self, fault) -> bool:
-        """Does this fault run fork from the golden ladder?  Single-
-        threaded branch, cache-level and register faults do, except
-        under recovery on the DBT; everything else runs fresh through
-        :meth:`execute`."""
+        """Does this fault run fork from the golden ladder?  Branch and
+        register faults do, cache-level faults on the DBT and scheduler
+        faults on the multithreaded machine, except under recovery on
+        the DBT or the multithreaded machine; everything else runs
+        fresh through :meth:`execute`."""
         config = self.config
-        if self.golden is None or config.threads:
+        if self.golden is None:
             return False
         if isinstance(fault, CacheFaultSpec):
             return config.pipeline == "dbt" and not config.recover
-        if config.recover and config.pipeline == "dbt":
+        if config.recover and (config.pipeline == "dbt" or config.threads):
             return False
+        if isinstance(fault, SchedFaultSpec):
+            return config.threads
         return isinstance(fault, (FaultSpec, RegisterFaultSpec))
 
     def _fork(self, fault, max_steps: int) -> Run:
@@ -534,18 +538,16 @@ class Pipeline:
                         else None)
                 self._ladder = ladder
             hits = None
-            if isinstance(fault, RegisterFaultSpec):
-                strikes = fires = fault.icount
+            if isinstance(fault, SchedFaultSpec):
+                index, fires = ladder.switch_point(fault.switch, max_steps)
             else:
-                if isinstance(fault, CacheFaultSpec):
-                    hits = ladder.pc_hits.get(fault.cache_addr, [])
-                elif config.pipeline == "dbt":
-                    hits = ladder.guest_hits.get(fault.branch_pc, [])
+                if isinstance(fault, RegisterFaultSpec):
+                    strikes = fires = fault.icount
                 else:
-                    hits = ladder.pc_hits.get(self._site(fault.branch_pc),
-                                              [])
-                strikes, fires = ladder.fire_point(hits, fault.occurrence)
-            index = ladder.fork_rung(strikes, max_steps, config.recover)
+                    hits = self._visits(ladder, fault)
+                    strikes, fires = ladder.fire_point(hits,
+                                                       fault.occurrence)
+                index = ladder.fork_rung(strikes, max_steps, config.recover)
             run = ladder.rewind(index)
             run.injector = self._attach_fault(run, fault)
             if hits is not None:
@@ -574,6 +576,18 @@ class Pipeline:
             self._ladder = None
             raise
         return run
+
+    def _visits(self, ladder, fault) -> list:
+        """Icounts of the walk's visits of the site the injector of
+        ``fault`` (a branch or cache-level fault) counts."""
+        if isinstance(fault, CacheFaultSpec):
+            return ladder.pc_hits.get(fault.cache_addr, [])
+        if self.config.pipeline == "dbt":
+            return ladder.guest_hits.get(fault.branch_pc, [])
+        site = self._site(fault.branch_pc)
+        if fault.thread is not None and self.config.threads:
+            return ladder.tid_hits.get((site, fault.thread), [])
+        return ladder.pc_hits.get(site, [])
 
     def _site(self, branch_pc: int) -> int:
         """Run-image address of a guest branch (native/static)."""

@@ -10,7 +10,10 @@ stops every :func:`rung_spacing` instructions to record a *rung*:
 
 * a :class:`~repro.machine.state.MachineState`: the CPU's registers,
   counters, latches and output lengths and, under the DBT, the
-  translation state and page permissions (:meth:`Dbt.snapshot`);
+  translation state and page permissions (:meth:`Dbt.snapshot`), or on
+  the multithreaded machine the scheduler side: saved contexts, ready
+  queue and RNG, mutexes, the quantum in flight and the switch count
+  (:meth:`ThreadedMachine.snapshot`);
 * an image of every page the walk has dirtied so far (pages are
   journalled through ``Memory.cow`` with its bound raised to the whole
   memory, so DBT code-cache pages count like any other; an image is
@@ -24,12 +27,16 @@ images, and the interval schedule.
 
 During the walk every branch pc carries one counting hook, so the
 ladder knows at which instruction each branch site executed — the
-same visits the fault injectors count.  A fault run then forks from
-the last rung before its fault fires (a recovery run from the last
-checkpoint boundary): :meth:`GoldenLadder.rewind` restores that rung,
-the caller installs the injector with its occurrence count seeded from
-the rung, and steps the machine with the fresh run's step budget minus
-the rung's icount.  Pages the previous run dirtied come back through
+same visits the fault injectors count; on the multithreaded machine
+it also records each thread's visits, which a thread-targeted fault
+counts alone.  A fault run then forks from the last rung before its
+fault fires (a recovery run from the last checkpoint boundary; a
+scheduler fault from the last rung that had made fewer context
+switches than its ordinal, :meth:`GoldenLadder.switch_point`):
+:meth:`GoldenLadder.rewind` restores that rung, the caller installs
+the injector with its occurrence count seeded from the rung, and
+steps the machine with the fresh run's step budget minus the rung's
+icount.  Pages the previous run dirtied come back through
 ``Memory.restore_page``, one span of changed bytes per page, as in a
 recovery rollback, so decode caches and compiled blocks invalidate
 exactly as they do there, and blocks on untouched code stay compiled.  A
@@ -44,8 +51,8 @@ by its pc, flags and registers; around each check rung the run single-
 steps a window of ``2 * WINDOW + 1`` instructions and looks its key up
 among all rungs, so a run that rejoined the golden path any number of
 instructions early or late is caught whenever that offset, modulo the
-rung spacing, lies within the window.  A recovery run checks at the
-rungs alone, with no window.  When the run agrees with the rung on
+rung spacing, lies within the window.  A recovery run and a threaded
+run check at the rungs alone, with no window.  When the run agrees with the rung on
 everything the rest of the run depends on, and its budget covers the
 rest of the golden run from there, it takes the golden run's
 remaining instructions, cycles, outputs and stop instead of executing
@@ -130,8 +137,12 @@ class GoldenLadder:
     def __init__(self, run, golden, checkpoint_interval=None):
         self.run = run
         self.golden = golden
-        #: the machine's ``MachineState`` components: the DBT, if any
-        self.components = () if run.dbt is None else (run.dbt,)
+        #: the multithreaded machine of a threaded run, else None
+        self.machine = run.machine
+        #: the machine's ``MachineState`` components: the DBT or the
+        #: multithreaded machine, if any
+        self.components = tuple(part for part in (run.dbt, run.machine)
+                                if part is not None)
         self.spacing = rung_spacing(golden.icount)
         self.rungs: list[Rung] = []
         #: page -> content before the walk, for every page the walk
@@ -142,6 +153,9 @@ class GoldenLadder:
         #: guest branch -> icounts of its first HIT_CAP visits at any
         #: translated terminator site (DBT only)
         self.guest_hits: dict[int, list[int]] = {}
+        #: (pc, tid) -> icounts of the first HIT_CAP visits of that
+        #: branch pc by that thread (threaded runs only)
+        self.tid_hits: dict[tuple, list[int]] = {}
         #: rung the machine's memory was last put at
         self.at = 0
         #: (pc, flags, registers) -> indices of the rungs in that state
@@ -169,6 +183,7 @@ class GoldenLadder:
         mem = cpu.memory
         terminators: dict[int, int] = {}
         pc_hits, guest_hits = self.pc_hits, self.guest_hits
+        tid_hits = self.tid_hits
 
         def visit(cpu, pc, instr):
             hits = pc_hits.setdefault(pc, [])
@@ -180,6 +195,15 @@ class GoldenLadder:
                 if len(hits) < HIT_CAP:
                     hits.append(cpu.icount)
 
+        def visit_thread(cpu, pc, instr):
+            # A thread-targeted fault counts its victim's visits alone.
+            hits = pc_hits.setdefault(pc, [])
+            if len(hits) < HIT_CAP:
+                hits.append(cpu.icount)
+            hits = tid_hits.setdefault((pc, cpu.current_tid), [])
+            if len(hits) < HIT_CAP:
+                hits.append(cpu.icount)
+
         def on_translation(tb):
             # The sites a DbtInjector arms for a guest branch.
             if tb is None:
@@ -187,7 +211,8 @@ class GoldenLadder:
             elif tb.terminator_site is not None:
                 terminators[tb.terminator_site] = tb.guest_terminator
 
-        cpu.branch_hooks = _EveryBranch(visit)
+        cpu.branch_hooks = _EveryBranch(
+            visit if self.machine is None else visit_thread)
         if dbt is not None:
             dbt.translation_listener = on_translation
         else:
@@ -258,6 +283,15 @@ class GoldenLadder:
         self.exit_code = cpu.exit_code
         self.output = list(cpu.output)
         self.output_values = list(cpu.output_values)
+        if self.machine is not None:
+            #: the walk's schedule trace, and the icount of each of its
+            #: context switches, in order
+            self.trace = list(self.machine.trace)
+            self.switch_icounts = [icount for icount, _tid, event
+                                   in self.trace if event == "switch"]
+            #: context switches made by each rung
+            self.switches = [rung.state.components[0].switches
+                             for rung in self.rungs]
         # The walk's last stretch stays journalled in mem.cow, like a
         # fault run forked from the last rung.
         self.at = len(self.rungs) - 1
@@ -297,6 +331,19 @@ class GoldenLadder:
         if len(hits) < HIT_CAP:
             return self.icounts[-1], None     # never fires
         return hits[-1], None                 # beyond the recorded visits
+
+    def switch_point(self, switch: int, budget: int
+                     ) -> tuple[int, int | None]:
+        """``(rung index, fires)`` for a scheduler fault at context
+        switch ``switch``: the last rung before that switch (a switch
+        at a rung's icount may come before or after the rung), and the
+        icount of the walk's switch — None when the golden run never
+        makes it, and the run forks from the last rung."""
+        last = self.fork_rung(budget, budget)
+        if not 0 < switch <= len(self.switch_icounts):
+            return last, None
+        index = bisect.bisect_left(self.switches, switch) - 1
+        return min(index, last), self.switch_icounts[switch - 1]
 
     def fork_rung(self, strikes: int, budget: int,
                   recovery: bool = False) -> int:
@@ -339,6 +386,12 @@ class GoldenLadder:
         cpu.output_values[:] = self.output_values[:state.output_values_len]
         cpu.branch_hooks.clear()
         cpu.scheduled_fault = None
+        machine = self.machine
+        if machine is not None:
+            # Nor is the schedule: the previous run may have switched
+            # otherwise.
+            machine.trace[:] = self.trace[:state.components[0].trace_len]
+            machine.sched_fault = None
         if self.blocks is not None:
             cpu.backend.retain(self.blocks)
         if dbt is not None:
@@ -371,7 +424,9 @@ class GoldenLadder:
         rung icounts, so it rejoins only when its offset is a whole
         number of rungs (usually zero), and a run that rejoined the
         golden path an instruction late executes on, checkpointing,
-        to its end."""
+        to its end.  So does a threaded run: the quantum in flight is
+        part of its state, so off the rungs' icounts it matches no
+        rung while its threads still switch."""
         cpu = run.cpu
         step = run.step
         icounts = self.icounts
@@ -379,10 +434,13 @@ class GoldenLadder:
             memory = cpu.memory
             attempt_end = lambda: max_steps              # noqa: E731
             written = lambda: set(memory.cow)            # noqa: E731
-            width = WINDOW
+            width = WINDOW if self.machine is None else 0
         else:
             attempt_end, written = manager.attempt_end, manager.dirtied
             width = 0
+        machine = run.machine
+        #: a scheduler fault, armed until the machine makes its switch
+        sched = None if machine is None else machine.sched_fault
         #: (first icount, last icount, rung index) of the check window
         window = None
         gap = 1
@@ -400,9 +458,12 @@ class GoldenLadder:
             end = cpu.icount + n
             stop = None
             while stop is None or (stop.reason is StopReason.STEP_LIMIT
-                                   and cpu.icount < end):
+                                   and cpu.icount < end
+                                   and not (machine is not None
+                                            and machine.deadlocked)):
                 now = cpu.icount
-                if cpu.branch_hooks or cpu.scheduled_fault is not None:
+                if (cpu.branch_hooks or cpu.scheduled_fault is not None
+                        or (sched is not None and not sched.fired)):
                     window = None
                     after = end
                     if fires is not None and fires >= now:
@@ -445,11 +506,12 @@ class GoldenLadder:
     def _converged(self, cpu, index: int, written) -> bool:
         """Is the machine, already at rung ``index``'s pc, flags and
         registers, in the rest of that rung's state: the same latches,
-        outputs and content of every page either run has dirtied since
-        the rung it forked from (``written()``: a new set of the pages
-        the run wrote), and, when the code reads the cycle counter, the
-        same cycle count?  (Outside the DBT nothing changes page
-        permissions after load.)"""
+        outputs, scheduler state (threaded runs; all of it but the
+        trace length) and content of every page either run has dirtied
+        since the rung it forked from (``written()``: a new set of the
+        pages the run wrote), and, when the code reads the cycle
+        counter, the same cycle count?  (Outside the DBT nothing
+        changes page permissions after load.)"""
         rung = self.rungs[index]
         state = rung.state
         if (cpu.exit_code != state.exit_code
@@ -457,7 +519,9 @@ class GoldenLadder:
                 or (self.reads_cycles and cpu.cycles != state.cycles)
                 or cpu.output != self.output[:state.output_len]
                 or cpu.output_values
-                != self.output_values[:state.output_values_len]):
+                != self.output_values[:state.output_values_len]
+                or (self.machine is not None
+                    and not self.machine.in_state(state.components[0]))):
             return False
         pages = written()
         if index != self.at:

@@ -27,17 +27,18 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from repro.cfg import build_cfg
 from repro.cfg.basic_block import ExitKind
 from repro.checking import Policy
-from repro.faults.campaign import Outcome, Pipeline, PipelineConfig
+from repro.faults.campaign import (Outcome, Pipeline, PipelineConfig,
+                                   generate_thread_faults)
 from repro.faults.classify import (Category, classify_offset_fault,
                                    corrupted_target)
 from repro.faults.injector import (FaultSpec, OffsetBitFault,
-                                   RegisterFaultSpec)
+                                   RegisterFaultSpec, SchedFaultSpec)
 from repro.formal import FORMAL_TECHNIQUES
 from repro.formal.conditions import check_conditions
 from repro.formal.model import diamond_cfg, fanin_cfg, loop_cfg
@@ -45,6 +46,7 @@ from repro.isa.encoding import BRANCH_OFFSET_BITS
 from repro.isa.opcodes import Kind
 from repro.isa.program import Program
 from repro.machine import Cpu, StopReason, run_native
+from repro.threads.machine import MAX_THREADS
 
 #: Techniques the DBT instruments on the fly (local signature state).
 DBT_TECHNIQUES = ("edgcf", "rcf", "ecf")
@@ -588,6 +590,15 @@ class ForkDivergence:
 
 #: Register bit flips :func:`check_fork` adds to the branch faults.
 FORK_REGISTER_FAULTS = 4
+#: On the multithreaded machine: the victims of its thread faults (the
+#: main thread and up to four workers), the faults per victim, and its
+#: scheduler faults, drawn at switch ordinals up to FORK_MAX_SWITCH
+FORK_TIDS = range(5)
+FORK_THREAD_FAULTS = 2
+FORK_SCHED_FAULTS = 8
+FORK_MAX_SWITCH = 60
+#: A context-switch ordinal no fuzzed kernel reaches
+NEVER_SWITCH = 1_000_000
 
 
 def check_fork(program: Program, config: PipelineConfig, seed: int = 0
@@ -596,18 +607,22 @@ def check_fork(program: Program, config: PipelineConfig, seed: int = 0
     (divergences, runs).
 
     The faults are the detection suite's single-bit offset faults in
-    every category it keeps, plus ``FORK_REGISTER_FAULTS`` register bit
-    flips drawn from ``seed``, in an order shuffled by ``seed``, so each
-    forked run rewinds from what another run left.  Each runs through
-    the campaign path (``pipe.run``: forked from the golden ladder,
-    stopping where it rejoins the golden run) and the fresh path
-    (``pipe.execute`` on a new machine); the two records must be equal
-    field for field.
+    every category it keeps — on the multithreaded machine, thread and
+    scheduler faults instead (:func:`_threaded_fork_faults`) — plus
+    ``FORK_REGISTER_FAULTS`` register bit flips drawn from ``seed``, in
+    an order shuffled by ``seed``, so each forked run rewinds from what
+    another run left.  Each runs through the campaign path
+    (``pipe.run``: forked from the golden ladder, stopping where it
+    rejoins the golden run) and the fresh path (``pipe.execute`` on a
+    new machine); the two records must be equal field for field.
     """
     pipe = Pipeline(program, config)
     rng = random.Random(seed)
-    specs = [spec for spec, _ in enumerate_detection_specs(
-        program, frozenset(Category))]
+    if config.threads:
+        specs = _threaded_fork_faults(program, config, rng, seed)
+    else:
+        specs = [spec for spec, _ in enumerate_detection_specs(
+            program, frozenset(Category))]
     specs += [RegisterFaultSpec(icount=rng.randrange(pipe.golden.icount),
                                 reg=rng.randrange(1, 16),
                                 bit=rng.randrange(32))
@@ -629,6 +644,32 @@ def check_fork(program: Program, config: PipelineConfig, seed: int = 0
                              if getattr(forked, name)
                              != getattr(fresh, name))))
     return divergences, len(specs)
+
+
+def _threaded_fork_faults(program: Program, config: PipelineConfig,
+                          rng: random.Random, seed: int) -> list:
+    """Direction faults on the conditional branches for each tid of
+    ``FORK_TIDS`` (:func:`generate_thread_faults`), one more on a tid
+    no kernel spawns, whose victim never visits its site, and scheduler
+    faults of both kinds, one of each at a switch the golden run never
+    makes."""
+    specs = generate_thread_faults(program, config, FORK_TIDS,
+                                   per_thread=FORK_THREAD_FAULTS,
+                                   seed=seed)
+    if specs:
+        specs.append(replace(specs[0], thread=MAX_THREADS))
+    for _ in range(FORK_SCHED_FAULTS):
+        switch = rng.randint(1, FORK_MAX_SWITCH)
+        if rng.random() < 0.5:
+            specs.append(SchedFaultSpec(switch, "queue-rotate"))
+        else:
+            # r16 and up hold the checking technique's signatures.
+            specs.append(SchedFaultSpec(
+                switch, "ctx-bit", tid=rng.choice(FORK_TIDS),
+                reg=rng.randrange(20), bit=rng.randrange(32)))
+    specs += [SchedFaultSpec(NEVER_SWITCH, "queue-rotate"),
+              SchedFaultSpec(NEVER_SWITCH, "ctx-bit", tid=1, reg=1)]
+    return specs
 
 
 # -- combined verdict --------------------------------------------------------

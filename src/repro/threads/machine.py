@@ -48,6 +48,8 @@ perturbations, applied at an exact context-switch ordinal.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.machine.faults import StopInfo, StopReason
 from repro.isa.program import STACK_TOP
 from repro.threads.context import (BLOCKED, EXITED, READY, RUNNING,
@@ -64,6 +66,26 @@ STACK_SLOT = 0x1000
 
 #: SPAWN/JOIN error result (guest-visible).
 INVALID_TID = 0xFFFFFFFF
+
+
+class SchedState(NamedTuple):
+    """:meth:`ThreadedMachine.snapshot`: everything of the machine
+    outside the CPU and memory.  The trace length comes last, so
+    ``state[:-1]`` is the part a run's future depends on."""
+
+    current: int
+    next_tid: int
+    quantum_left: int
+    #: context switches made so far (``SchedFaultSpec`` ordinals)
+    switches: int
+    #: sorted (tid, ``ThreadContext.snapshot()``) pairs
+    contexts: tuple
+    #: ``DeterministicScheduler.snapshot()``: ready queue and RNG
+    scheduler: tuple
+    mutex_owner: tuple
+    mutex_waiters: tuple
+    deadlocked: bool
+    trace_len: int
 
 
 class ThreadedMachine:
@@ -394,41 +416,44 @@ class ThreadedMachine:
 
     # -- checkpoint/rollback support -----------------------------------
 
-    def snapshot(self, previous: tuple | None = None) -> tuple:
-        """Scheduler-side state, as a ``MachineState`` component
-        (``previous`` is unused).  The *current* thread's registers
-        live in the CPU, which the ``MachineState`` holds; everything
-        else — other contexts, ready queue, mutexes, the quantum in
-        flight and the trace length — is captured here."""
-        return (
-            self.current,
-            self._next_tid,
-            self._quantum_left,
-            self.switches,
-            tuple(sorted((tid, ctx.snapshot())
-                         for tid, ctx in self.contexts.items())),
-            self.scheduler.snapshot(),
-            tuple(sorted(self.mutex_owner.items())),
-            tuple(sorted((mid, tuple(waiters)) for mid, waiters
-                         in self.mutex_waiters.items())),
-            len(self.trace),
-            self.deadlocked,
-        )
+    def snapshot(self, previous: SchedState | None = None) -> SchedState:
+        """Scheduler-side state, as a ``MachineState`` component.  The
+        *current* thread's registers live in the CPU, which the
+        ``MachineState`` holds; everything else — other contexts, ready
+        queue, mutexes, the quantum in flight and the trace length — is
+        captured here.  ``previous`` is unused: snapshots between two
+        RNG draws share one RNG state (:meth:`DeterministicScheduler.
+        snapshot`), the one large part."""
+        return SchedState(
+            current=self.current,
+            next_tid=self._next_tid,
+            quantum_left=self._quantum_left,
+            switches=self.switches,
+            contexts=tuple(sorted((tid, ctx.snapshot())
+                                  for tid, ctx in self.contexts.items())),
+            scheduler=self.scheduler.snapshot(),
+            mutex_owner=tuple(sorted(self.mutex_owner.items())),
+            mutex_waiters=tuple(sorted(
+                (mid, tuple(waiters))
+                for mid, waiters in self.mutex_waiters.items())),
+            deadlocked=self.deadlocked,
+            trace_len=len(self.trace))
 
-    def restore(self, snap: tuple) -> None:
-        (current, next_tid, quantum_left, switches, contexts,
-         sched, mutex_owner, mutex_waiters, trace_len,
-         deadlocked) = snap
-        self.current = current
-        self.cpu.current_tid = current
-        self._next_tid = next_tid
-        self._quantum_left = quantum_left
-        self.switches = switches
+    def restore(self, snap: SchedState) -> None:
+        self.current = snap.current
+        self.cpu.current_tid = snap.current
+        self._next_tid = snap.next_tid
+        self._quantum_left = snap.quantum_left
+        self.switches = snap.switches
         self.contexts = {tid: ThreadContext.from_snapshot(ctx_snap)
-                         for tid, ctx_snap in contexts}
-        self.scheduler.restore(sched)
-        self.mutex_owner = dict(mutex_owner)
+                         for tid, ctx_snap in snap.contexts}
+        self.scheduler.restore(snap.scheduler)
+        self.mutex_owner = dict(snap.mutex_owner)
         self.mutex_waiters = {mid: list(waiters)
-                              for mid, waiters in mutex_waiters}
-        del self.trace[trace_len:]
-        self.deadlocked = deadlocked
+                              for mid, waiters in snap.mutex_waiters}
+        del self.trace[snap.trace_len:]
+        self.deadlocked = snap.deadlocked
+
+    def in_state(self, snap: SchedState) -> bool:
+        """Is the machine in ``snap``, whatever its trace length?"""
+        return self.snapshot()[:-1] == snap[:-1]

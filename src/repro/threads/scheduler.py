@@ -17,7 +17,9 @@ multithreaded machine would add, so everything here is pinned down:
   schedules are stable under unrelated changes.
 
 The scheduler state (queue order + RNG state) snapshots into a plain
-tuple so checkpoint/rollback recovery can restore mid-campaign.
+tuple so checkpoint/rollback recovery can restore mid-campaign.  The
+RNG state is copied only after a draw: snapshots between draws share
+one state object (under ``rr`` the RNG never draws).
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ class DeterministicScheduler:
         self.seed = seed
         from repro.faults.sampling import derive_seed
         self._rng = random.Random(derive_seed(seed, "sched", policy))
+        #: the RNG's state as last saved or restored; None after a draw
+        self._rng_state = None
         self._queue: list[int] = []
 
     def enqueue(self, tid: int) -> None:
@@ -67,7 +71,11 @@ class DeterministicScheduler:
             return self._queue.pop(0)
         best = max(priority_of(tid) for tid in self._queue)
         tied = [tid for tid in self._queue if priority_of(tid) == best]
-        choice = tied[0] if len(tied) == 1 else self._rng.choice(tied)
+        if len(tied) == 1:
+            choice = tied[0]
+        else:
+            choice = self._rng.choice(tied)
+            self._rng_state = None
         self._queue.remove(choice)
         return choice
 
@@ -86,9 +94,13 @@ class DeterministicScheduler:
     # -- checkpoint/rollback support ----------------------------------
 
     def snapshot(self) -> tuple:
-        return (tuple(self._queue), self._rng.getstate())
+        if self._rng_state is None:
+            self._rng_state = self._rng.getstate()
+        return (tuple(self._queue), self._rng_state)
 
     def restore(self, snap: tuple) -> None:
         queue, rng_state = snap
         self._queue = list(queue)
-        self._rng.setstate(rng_state)
+        if rng_state is not self._rng_state:
+            self._rng.setstate(rng_state)
+            self._rng_state = rng_state

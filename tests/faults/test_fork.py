@@ -5,6 +5,7 @@ the pipeline's machine and however a campaign chunks and spreads it.
 
 from __future__ import annotations
 
+import bisect
 import random
 
 import pytest
@@ -16,14 +17,16 @@ from repro.faults.executor import CampaignExecutor
 from repro.faults.fork import HIT_CAP, GoldenLadder, rung_spacing
 from repro.faults.injector import (DirectionFault, FaultSpec,
                                    FlagBitFault, RedirectFault,
-                                   RegisterFaultSpec)
+                                   RegisterFaultSpec, SchedFaultSpec)
 from repro.isa import assemble
 from repro.isa.flags import Flag
 from repro.machine import Cpu, StopReason
+from repro.workloads.kernels import mt
 from tests.dbt.test_smc import SMC_LOOP_SRC
 from tests.faults.test_run_path import (BACKENDS, BRANCH_FAULTS, EXPECTED,
-                                        MT_PROGRAM, PROGRAM, _cache_faults,
-                                        _config, _faults, _record_tuple)
+                                        MT_FAULTS, MT_PROGRAM, PROGRAM,
+                                        _cache_faults, _config, _faults,
+                                        _record_tuple)
 
 #: Counts to 200; forcing its loop branch taken on the 200th visit
 #: skips the exit and runs until the step budget stops it.
@@ -128,9 +131,18 @@ class TestLadder:
         pipe.run(BRANCH_FAULTS["direction"])
         assert pipe._ladder is not None
 
-    def test_threads_run_fresh(self):
-        pipe = Pipeline(PROGRAM, PipelineConfig("native", threads=True))
-        pipe.run(BRANCH_FAULTS["direction"])
+    def test_threaded_runs_fork(self):
+        pipe = Pipeline(MT_PROGRAM, _config("mt-static-ecf", "interp",
+                                            False))
+        for spec in MT_FAULTS.values():
+            assert pipe.run(spec) == fresh_record(pipe, spec)
+        assert pipe._ladder.machine is pipe._ladder.run.machine
+        assert pipe._ladder.components == (pipe._ladder.machine,)
+
+    def test_threaded_recovery_runs_fresh(self):
+        pipe = Pipeline(MT_PROGRAM, _config("mt-native", "interp", True))
+        for spec in MT_FAULTS.values():
+            pipe.run(spec)
         assert pipe._ladder is None
 
     def test_dbt_recovery_runs_fresh(self):
@@ -448,6 +460,157 @@ def test_dbt_runs_never_compare_states(monkeypatch, backend):
                  FaultSpec(FLAG_SITE, 30, FlagBitFault(Flag.ZF))):
         assert pipe.run(spec) == fresh_record(pipe, spec)
     assert pipe._ladder is not None
+
+
+# -- threaded runs ---------------------------------------------------------
+
+
+#: Four workers of 40 iterations each: 57 rungs, 69 context switches at
+#: quantum 53.
+MT_FORK_PROGRAM = assemble(mt.counters(threads=4, iters=40, spin=4),
+                           name="fork-mt")
+#: ``jl wloop``, which each worker runs once per iteration.
+MT_LOOP = MT_FORK_PROGRAM.symbols["spinloop"] + 20
+
+
+def _mt_pipe(backend: str) -> Pipeline:
+    return Pipeline(MT_FORK_PROGRAM, PipelineConfig(
+        "native", backend=backend, threads=True, quantum=53))
+
+
+def _spy(monkeypatch, name: str, seen: list, fields):
+    """Wrap ``GoldenLadder.<name>`` to append ``fields(ladder, *args)``
+    to ``seen`` on every call."""
+    method = getattr(GoldenLadder, name)
+
+    def spied(ladder, *args):
+        seen.append(fields(ladder, *args))
+        return method(ladder, *args)
+
+    monkeypatch.setattr(GoldenLadder, name, spied)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_thread_fault_counts_its_victims_visits(monkeypatch, backend):
+    """The injector starts with the victim's visits before the rung,
+    not every thread's."""
+    pipe = _mt_pipe(backend)
+    spec = FaultSpec(MT_LOOP, 30, DirectionFault(), thread=2)
+    seen = []
+    _spy(monkeypatch, "stepper", seen,
+         lambda ladder, run, fires, *rest: (run.cpu.icount,
+                                            run.injector.count, fires))
+    assert pipe.run(spec) == fresh_record(pipe, spec)
+    [(icount, count, fires)] = seen
+    ladder = pipe._ladder
+    victim = ladder.tid_hits[MT_LOOP, 2]
+    assert fires == victim[29]
+    assert count == bisect.bisect_left(victim, icount) > 0
+    assert count < bisect.bisect_left(ladder.pc_hits[MT_LOOP], icount)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_never_visiting_victim_forks_from_the_last_rung(monkeypatch,
+                                                        backend):
+    """The main thread never runs the workers' loop: its fault never
+    fires, and the run forks from the last rung."""
+    pipe = _mt_pipe(backend)
+    spec = FaultSpec(MT_LOOP, 1, DirectionFault(), thread=0)
+    pipe.run(spec)                      # walks the ladder
+    assert (MT_LOOP, 0) not in pipe._ladder.tid_hits
+    rewound = []
+    _spy(monkeypatch, "rewind", rewound, lambda ladder, index: index)
+    forked = pipe.run(spec)
+    assert forked == fresh_record(pipe, spec)
+    assert forked.outcome is Outcome.BENIGN
+    assert rewound == [len(pipe._ladder.rungs) - 1]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_ctx_bit_converges_at_the_first_rung_after_its_switch(monkeypatch,
+                                                              backend):
+    """Worker 1's spin counter, flipped at switch 5, is rewritten
+    before the next rung: the run compares its state there first and
+    takes the golden run's end."""
+    pipe = _mt_pipe(backend)
+    spec = SchedFaultSpec(switch=5, kind="ctx-bit", tid=1, reg=6, bit=2)
+    pipe.run(spec)                      # walks the ladder
+    compared, taken = [], []
+    _spy(monkeypatch, "_converged", compared,
+         lambda ladder, cpu, index, written: cpu.icount)
+    _spy(monkeypatch, "_take_rest", taken, lambda ladder, cpu, index: index)
+    forked = pipe.run(spec)
+    assert forked == fresh_record(pipe, spec)
+    assert forked.outcome is Outcome.BENIGN
+    ladder = pipe._ladder
+    fires = ladder.switch_icounts[4]
+    first = bisect.bisect_right(ladder.icounts, fires)
+    assert taken == [first]
+    assert compared == [ladder.icounts[first]]
+
+
+#: Two depositors that yield the mutex: the yield of switch 6 retires
+#: at rung 2's icount, so the switch comes before that rung.
+LEDGER_PROGRAM = assemble(mt.ledger(threads=2, deposits=20),
+                          name="fork-ledger")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sched_fault_forks_by_switch_count(backend):
+    pipe = Pipeline(LEDGER_PROGRAM, PipelineConfig(
+        "native", backend=backend, threads=True, quantum=53))
+    spec = SchedFaultSpec(switch=6, kind="ctx-bit", tid=1, reg=4, bit=3)
+    forked = pipe.run(spec)
+    assert forked == fresh_record(pipe, spec)
+    assert forked.outcome is Outcome.SDC
+    ladder = pipe._ladder
+    fires = ladder.switch_icounts[5]
+    assert fires == ladder.icounts[2] and ladder.switches[2] == 6
+    budget = pipe.golden.step_budget
+    assert ladder.switch_point(6, budget) == (1, fires)
+    # An ordinal the golden run never reaches never fires.
+    beyond = len(ladder.switch_icounts) + 1
+    assert ladder.switch_point(beyond, budget) == (len(ladder.rungs) - 1,
+                                                   None)
+    spec = SchedFaultSpec(switch=beyond, kind="queue-rotate")
+    assert pipe.run(spec) == fresh_record(pipe, spec)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_later_runs_end_with_the_fresh_schedule(backend):
+    """A queue rotation changes the schedule; a run forked after it
+    from a later rung, which never rejoins the golden run, still ends
+    with the schedule trace a fresh run gives."""
+    pipe = _mt_pipe(backend)
+    budget = pipe.golden.step_budget
+    golden = pipe.execute(None, budget).machine.trace_digest()
+    rotate = SchedFaultSpec(switch=3, kind="queue-rotate")
+    assert pipe.run(rotate) == fresh_record(pipe, rotate)
+    assert pipe.execute(rotate, budget).machine.trace_digest() != golden
+    later = FaultSpec(MT_LOOP, 30, DirectionFault(), thread=3)
+    run = pipe._fork(later, budget)
+    fresh = pipe.execute(later, budget)
+    assert pipe.classify(run) == pipe.classify(fresh)
+    assert run.cpu.icount != pipe.golden.icount
+    assert run.machine.trace_digest() == fresh.machine.trace_digest()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_threaded_runs_check_at_the_rungs_only(monkeypatch, backend):
+    pipe = _mt_pipe(backend)
+    specs = [SchedFaultSpec(switch=3, kind="queue-rotate"),
+             SchedFaultSpec(switch=5, kind="ctx-bit", tid=1, reg=6, bit=2),
+             SchedFaultSpec(switch=20, kind="ctx-bit", tid=2, reg=4, bit=0),
+             FaultSpec(MT_LOOP, 30, DirectionFault(), thread=3),
+             RegisterFaultSpec(icount=1000, reg=6, bit=1)]
+    pipe.run(specs[0])                  # walks the ladder
+    checked = []
+    _spy(monkeypatch, "_rejoin", checked,
+         lambda ladder, cpu, budget, written: cpu.icount)
+    for spec in specs:
+        assert pipe.run(spec) == fresh_record(pipe, spec)
+    assert len(checked) > len(specs)
+    assert set(checked) <= set(pipe._ladder.icounts)
 
 
 # -- order and chunk independence over the pinned table -------------------

@@ -78,7 +78,18 @@ class TestFreshRuns:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_multithreaded_fault_run(memories, backend):
+    """Threaded fault runs fork: the pipeline's one forked-run machine
+    is all that outlives them."""
     pipe = Pipeline(MT_PROGRAM, _config("mt-static-ecf", backend, False))
+    for spec in MT_FAULTS.values():
+        pipe.run(spec)
+    assert len(memories) == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_multithreaded_recovery_run(memories, backend):
+    """Threaded recovery runs run fresh and leave no machine behind."""
+    pipe = Pipeline(MT_PROGRAM, _config("mt-static-ecf", backend, True))
     for spec in MT_FAULTS.values():
         pipe.run(spec)
     assert len(memories) == 0

@@ -6,6 +6,7 @@ from repro.exec import BACKEND_NAMES, install_backend
 from repro.isa import assemble
 from repro.machine import Cpu
 from repro.machine.faults import StopReason
+from repro.machine.state import MachineState
 from repro.threads import (INVALID_TID, MAX_THREADS, ThreadedMachine)
 from repro.workloads import BY_NAME
 
@@ -263,3 +264,45 @@ class TestSchedSnapshot:
                 for tid, ctx in machine.contexts.items()} == contexts
         assert machine.scheduler.ready_tids() == queue
         assert len(machine.trace) == trace_len
+
+    @staticmethod
+    def _relay(**kwargs) -> ThreadedMachine:
+        program = BY_NAME["mt.relay"].generator(stages=3, rounds=6)
+        cpu = Cpu()
+        cpu.load_program(assemble(program), executable_text=True)
+        return ThreadedMachine(cpu, quantum=37, **kwargs)
+
+    def test_rr_snapshots_share_one_rng_state(self):
+        """Round-robin never draws: every snapshot holds the same RNG
+        state object, not a copy of its 625 words."""
+        machine = self._relay()
+        states = []
+        for _ in range(256):
+            machine.run(max_steps=5)
+            states.append(machine.snapshot())
+        assert states[-1].switches > 20
+        assert len({id(state.scheduler[1]) for state in states}) == 1
+
+    def test_restoring_a_shared_rng_state_is_exact_under_priority(self):
+        """Equal-priority threads tie, so the RNG draws; snapshots
+        between draws share its state, and a restore of that state
+        replays the same schedule."""
+        machine = self._relay(policy="priority", seed=3)
+        cpu = machine.cpu
+        machine.run(max_steps=300)
+        state = MachineState.capture(cpu, (machine,))
+        memory = bytes(cpu.memory.data)
+        snap = state.components[0]
+        assert machine.snapshot().scheduler[1] is snap.scheduler[1]
+        runs = []
+        for _ in range(3):
+            state.restore(cpu, (machine,))
+            cpu.memory.data[:] = memory
+            machine.run(max_steps=800)
+            runs.append((machine.trace_digest(), tuple(machine.cpu.regs)))
+            assert machine.snapshot().scheduler[1] is not snap.scheduler[1]
+        reference = self._relay(policy="priority", seed=3)
+        reference.run(max_steps=300)
+        reference.run(max_steps=800)
+        assert runs == [(reference.trace_digest(),
+                         tuple(reference.cpu.regs))] * 3
